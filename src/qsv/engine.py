@@ -91,8 +91,8 @@ class ExactEnv:
     def __post_init__(self):
         for name, value in self.exps.items():
             if not isinstance(value, int) or value < 0:
-                raise ValueError(f"exponent symbol {name!r} must be a "
-                                 f"non-negative integer, got {value!r}")
+                raise NonIntegerExponent(f"exponent symbol {name!r} must be a "
+                                         f"non-negative integer, got {value!r}")
 
 
 @dataclass
@@ -616,24 +616,34 @@ def sum_sectioned_exact(summand: Expr, index: str, r: int, s: int,
 
 
 class NumericEvaluator:
+    """Numeric evaluation under one environment.
+
+    Values that no summation index changes are computed once per evaluator
+    and reused by every summand term: the converted environment, the q^h
+    bases, infinite products and the prefixes of finite products.  `sym`
+    maps exponent symbols and the bound summation indices to their values.
+    """
+
     def __init__(self, env: NumericEnv):
         self.env = env
         self.q = num.to_cnum(env.q)
         self.tol = env.tol
+        self._exps = _cnum_values(env.exps)
+        self._params = {name: num.to_cnum(v) for name, v in env.params.items()}
+        self._qbases = {}
+        self._products = num.QPochMemo(self.tol)
 
-    def _poly_env(self, idxenv):
-        return {**self.env.exps, **idxenv}
+    def _bind(self, idxenv):
+        return {**self._exps, **_cnum_values(idxenv or {})}
 
-    def _poly(self, p: IntPoly, idxenv):
-        env = self._poly_env(idxenv)
-        value = p.eval({k: num.to_cnum(v) if not isinstance(v, int) else v
-                        for k, v in env.items()})
+    def _poly(self, p: IntPoly, sym):
+        value = p.eval(sym)
         if isinstance(value, Fraction):
             return mpc(value.numerator) / value.denominator
         return num.to_cnum(value)
 
-    def _poly_posint(self, p: IntPoly, idxenv) -> int:
-        v = self._poly(p, idxenv)
+    def _poly_posint(self, p: IntPoly, sym) -> int:
+        v = self._poly(p, sym)
         n = num.near_int(v)
         if n is None or n < 1:
             raise NonIntegerExponent(
@@ -641,100 +651,106 @@ class NumericEvaluator:
             )
         return n
 
+    def _qbase(self, exponent):
+        """q^exponent for a Pochhammer base, memoized by the exponent's value."""
+        base = self._qbases.get(exponent)
+        if base is None:
+            base = self._qbases[exponent] = num.cpow(self.q, exponent)
+        return base
+
     def _param(self, name):
         try:
-            return num.to_cnum(self.env.params[name])
+            return self._params[name]
         except KeyError:
             raise UnknownName(f"unbound parameter {name!r}") from None
 
     def eval(self, e: Expr, idxenv=None) -> mpc:
-        return self._eval(e, idxenv or {})
+        return self._eval(e, self._bind(idxenv))
 
-    def _eval(self, e: Expr, idxenv) -> mpc:
+    def _eval(self, e: Expr, sym) -> mpc:
         if isinstance(e, Const):
             return mpc(e.value.numerator) / e.value.denominator
         if isinstance(e, Param):
             return self._param(e.name)
         if isinstance(e, QPow):
-            return num.cpow(self.q, self._poly(e.exponent, idxenv))
+            return num.cpow(self.q, self._poly(e.exponent, sym))
         if isinstance(e, Neg):
-            return -self._eval(e.arg, idxenv)
+            return -self._eval(e.arg, sym)
         if isinstance(e, Add):
-            return self._eval(e.left, idxenv) + self._eval(e.right, idxenv)
+            return self._eval(e.left, sym) + self._eval(e.right, sym)
         if isinstance(e, Sub):
-            return self._eval(e.left, idxenv) - self._eval(e.right, idxenv)
+            return self._eval(e.left, sym) - self._eval(e.right, sym)
         if isinstance(e, Mul):
-            return self._eval(e.left, idxenv) * self._eval(e.right, idxenv)
+            return self._eval(e.left, sym) * self._eval(e.right, sym)
         if isinstance(e, Div):
-            denom = self._eval(e.right, idxenv)
+            denom = self._eval(e.right, sym)
             if denom == 0:
                 raise DivisionByZeroProduct("zero denominator")
-            return num.check_finite(self._eval(e.left, idxenv) / denom)
+            return num.check_finite(self._eval(e.left, sym) / denom)
         if isinstance(e, Pow):
-            return num.cpow(self._eval(e.base, idxenv), self._poly(e.exponent, idxenv))
+            return num.cpow(self._eval(e.base, sym), self._poly(e.exponent, sym))
         if isinstance(e, Poch):
-            x = self._eval(e.arg, idxenv)
-            qbase = num.cpow(self.q, self._poly(e.base, idxenv))
+            x = self._eval(e.arg, sym)
+            qbase = self._qbase(self._poly(e.base, sym))
             if e.length is INF:
-                return num.qpoch_inf_numeric(x, qbase, self.tol)
-            length = self._poly(e.length, idxenv)
-            return num.qpoch_complex_index(x, qbase, length, self.tol)
+                return self._products.inf(x, qbase)
+            return self._products.complex_index(x, qbase,
+                                                self._poly(e.length, sym))
         if isinstance(e, OmegaProd):
-            h = self._poly_posint(e.h, idxenv)
-            return self._ratio_prod(e.length, idxenv, h, omega=True)
+            h = self._poly_posint(e.h, sym)
+            return self._ratio_prod(e.length, sym, h, omega=True)
         if isinstance(e, StrideProd):
-            h = self._poly_posint(e.h, idxenv)
-            return self._ratio_prod(e.length, idxenv, h, omega=False)
+            h = self._poly_posint(e.h, sym)
+            return self._ratio_prod(e.length, sym, h, omega=False)
         if isinstance(e, Theta):
             fn = (num.theta_psi_numeric if e.kind == "psi"
                   else num.theta_phi_minus_numeric)
             return fn(self.q, self.tol)
         if isinstance(e, Sum):
-            return self._eval_sum(e, idxenv)
+            return self._eval_sum(e, sym)
         if isinstance(e, MultiSum):
-            return self._eval_msum(e, idxenv)
+            return self._eval_msum(e, sym)
         raise TypeError(f"unknown expression node {e!r}")
 
-    def _ratio_prod(self, length, idxenv, h, omega: bool):
+    def _ratio_prod(self, length, sym, h, omega: bool):
         """omega: (q^h;q^h)_n / (q;q)_n;  stride: (q;q)_{h n} / (q^h;q^h)_n."""
-        qh = num.cpow(self.q, h)
+        qh = self._qbase(h)
+        products = self._products
         if length is INF:
-            num_ = num.qpoch_inf_numeric(qh if omega else self.q,
-                                         qh if omega else self.q, self.tol)
-            den = num.qpoch_inf_numeric(self.q if omega else qh,
-                                        self.q if omega else qh, self.tol)
+            num_ = products.inf(qh if omega else self.q, qh if omega else self.q)
+            den = products.inf(self.q if omega else qh, self.q if omega else qh)
         else:
-            n = self._poly(length, idxenv)
+            n = self._poly(length, sym)
             ni = num.near_int(n)
             if ni is None or ni < 0:
                 raise NonIntegerExponent("product length must be a non-negative integer")
             if omega:
-                num_ = num.qpoch_finite_numeric(qh, qh, ni)
-                den = num.qpoch_finite_numeric(self.q, self.q, ni)
+                num_ = products.finite(qh, qh, ni)
+                den = products.finite(self.q, self.q, ni)
             else:
-                num_ = num.qpoch_finite_numeric(self.q, self.q, h * ni)
-                den = num.qpoch_finite_numeric(qh, qh, ni)
+                num_ = products.finite(self.q, self.q, h * ni)
+                den = products.finite(qh, qh, ni)
         if den == 0:
             raise DivisionByZeroProduct("product denominator vanished")
         return num.check_finite(num_ / den)
 
-    def _eval_sum(self, e: Sum, idxenv) -> mpc:
+    def _eval_sum(self, e: Sum, sym) -> mpc:
         def term(k):
-            return self._eval(e.summand, {**idxenv, e.index: e.start + e.stride * k})
+            return self._eval(e.summand, {**sym, e.index: e.start + e.stride * k})
 
         return num.sum_with_tail_bound(term, self.tol)
 
-    def _eval_msum(self, e: MultiSum, idxenv) -> mpc:
+    def _eval_msum(self, e: MultiSum, sym) -> mpc:
         indices = e.indices
         m = len(indices)
         if m == 1:
-            return self._eval_sum(Sum(indices[0], 0, 1, e.summand), idxenv)
+            return self._eval_sum(Sum(indices[0], 0, 1, e.summand), sym)
 
         def shell(d):
             total = mpc(0)
             for assignment in _compositions(d, m):
-                sub_idx = {**idxenv, **dict(zip(indices, assignment))}
-                total += self._eval(e.summand, sub_idx)
+                sub_sym = {**sym, **dict(zip(indices, assignment))}
+                total += self._eval(e.summand, sub_sym)
             return total
 
         return num.sum_with_tail_bound(shell, self.tol, max_terms=2000, tail_run=5)
@@ -742,9 +758,10 @@ class NumericEvaluator:
     def sum_sectioned(self, summand, index, r, s, idxenv=None) -> mpc:
         if r < 1 or not (0 <= s < r):
             raise ValueError("need r >= 1 and 0 <= s < r")
+        sym = self._bind(idxenv)
 
         def term(k):
-            return self._eval(summand, {**(idxenv or {}), index: s + r * k})
+            return self._eval(summand, {**sym, index: s + r * k})
 
         return num.sum_with_tail_bound(term, self.tol)
 
@@ -753,17 +770,25 @@ class NumericEvaluator:
         full sums with the summand twisted by w^(nu*index)."""
         if r < 1 or not (0 <= s < r):
             raise ValueError("need r >= 1 and 0 <= s < r")
+        sym = self._bind(idxenv)
         total = mpc(0)
         for nu in range(r):
             w = num.root_of_unity(r, nu)
 
             def term(k, w=w):
-                value = self._eval(summand, {**(idxenv or {}), index: k})
+                value = self._eval(summand, {**sym, index: k})
                 return value * w ** k
 
             total += num.root_of_unity(r, -nu * s) * num.sum_with_tail_bound(
                 term, self.tol)
         return total / r
+
+
+def _cnum_values(values: dict) -> dict:
+    """Integers as they are (exact powers, exact polynomial values); any
+    other number as an mpc."""
+    return {k: v if isinstance(v, int) else num.to_cnum(v)
+            for k, v in values.items()}
 
 
 def _compositions(total, parts):

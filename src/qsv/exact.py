@@ -103,15 +103,6 @@ def series_add(f: QSeries, g: QSeries) -> QSeries:
     return QSeries(n, tuple(f.coeffs[i] + g.coeffs[i] for i in range(n)))
 
 
-def series_sub(f: QSeries, g: QSeries) -> QSeries:
-    n = min(f.order, g.order)
-    return QSeries(n, tuple(f.coeffs[i] - g.coeffs[i] for i in range(n)))
-
-
-def series_neg(f: QSeries) -> QSeries:
-    return QSeries(f.order, tuple(-c for c in f.coeffs))
-
-
 def series_scale(f: QSeries, c) -> QSeries:
     c = Fraction(c)
     return QSeries(f.order, tuple(c * x for x in f.coeffs))
@@ -240,10 +231,6 @@ def series_inv(f: QSeries) -> QSeries:
     return g
 
 
-def series_div(f: QSeries, g: QSeries) -> QSeries:
-    return series_mul(f, series_inv(g))
-
-
 def series_pow(f: QSeries, k: int) -> QSeries:
     """f**k for integer k (negative k inverts first)."""
     if k < 0:
@@ -327,10 +314,6 @@ class ParamValue:
         if self.coeff == -1:
             return f"-{qpart}"
         return f"{self.coeff}*{qpart}"
-
-
-PV_ZERO = ParamValue(_ZERO, 0)
-PV_ONE = ParamValue(_ONE, 0)
 
 
 def parse_param_value(text: str) -> ParamValue:

@@ -136,33 +136,84 @@ def qpoch_inf_numeric(x, qbase, tol=SCALAR_TOL) -> mpc:
     return check_finite(prod)
 
 
+class QPochPrefix:
+    """The products (x; qbase)_0, (x; qbase)_1, ... kept as they are built.
+
+    Asking for a longer length multiplies in only the missing factors, in
+    the same order as a product built from scratch, so every value is the
+    one qpoch_finite_numeric returns.
+    """
+
+    __slots__ = ("qbase", "term", "values")
+
+    def __init__(self, x: mpc, qbase: mpc):
+        self.qbase = qbase
+        self.term = x  # x*qbase^(len(values) - 1), the next factor's term
+        self.values = [mpc(1)]
+
+    def get(self, k: int) -> mpc:
+        values = self.values
+        if k >= len(values):
+            prod, term, qbase = values[-1], self.term, self.qbase
+            for _ in range(k + 1 - len(values)):
+                prod *= 1 - term
+                values.append(prod)
+                term *= qbase
+            self.term = term
+        return check_finite(values[k])
+
+
+class QPochMemo:
+    """q-Pochhammer products memoized for one evaluation.
+
+    Infinite products are kept by (x, qbase) and finite ones as one growing
+    prefix per (x, qbase), so a sum whose terms share a symbol pays for each
+    product, or each new factor, once.  Owned by one evaluator; the keys do
+    not include tol, which is fixed per memo.
+    """
+
+    def __init__(self, tol):
+        self.tol = tol
+        self._inf = {}
+        self._prefixes = {}
+
+    def inf(self, x: mpc, qbase: mpc) -> mpc:
+        key = (x, qbase)
+        value = self._inf.get(key)
+        if value is None:
+            value = self._inf[key] = qpoch_inf_numeric(x, qbase, self.tol)
+        return value
+
+    def finite(self, x: mpc, qbase: mpc, k: int) -> mpc:
+        key = (x, qbase)
+        prefix = self._prefixes.get(key)
+        if prefix is None:
+            prefix = self._prefixes[key] = QPochPrefix(x, qbase)
+        return prefix.get(k)
+
+    def complex_index(self, x: mpc, qbase: mpc, k: mpc) -> mpc:
+        """(x; qbase)_k for complex k: (x;qbase)_inf / (x*qbase^k; qbase)_inf.
+        Only the shifted denominator depends on k."""
+        n = near_int(k)
+        if n is not None and n >= 0:
+            return self.finite(x, qbase, n)
+        num = self.inf(x, qbase)
+        den = qpoch_inf_numeric(x * cpow(qbase, k), qbase, self.tol)
+        if den == 0:
+            raise DivisionByZeroProduct("(x*q^k;q)_inf evaluated to zero")
+        return check_finite(num / den)
+
+
 def qpoch_finite_numeric(x, qbase, k: int) -> mpc:
     """(x; qbase)_k as a finite product of k factors."""
     if k < 0:
         raise ValueError("finite length must be non-negative")
-    x = to_cnum(x)
-    qbase = to_cnum(qbase)
-    prod = mpc(1)
-    term = x
-    for _ in range(k):
-        prod *= 1 - term
-        term *= qbase
-    return check_finite(prod)
+    return QPochPrefix(to_cnum(x), to_cnum(qbase)).get(k)
 
 
 def qpoch_complex_index(x, qbase, k, tol=SCALAR_TOL) -> mpc:
     """(x; qbase)_k for complex k:  (x;qbase)_inf / (x*qbase^k; qbase)_inf."""
-    x = to_cnum(x)
-    qbase = to_cnum(qbase)
-    k = to_cnum(k)
-    n = near_int(k)
-    if n is not None and n >= 0:
-        return qpoch_finite_numeric(x, qbase, n)
-    num = qpoch_inf_numeric(x, qbase, tol)
-    den = qpoch_inf_numeric(x * cpow(qbase, k), qbase, tol)
-    if den == 0:
-        raise DivisionByZeroProduct("(x*q^k;q)_inf evaluated to zero")
-    return check_finite(num / den)
+    return QPochMemo(tol).complex_index(to_cnum(x), to_cnum(qbase), to_cnum(k))
 
 
 def theta_psi_numeric(q, tol=SCALAR_TOL) -> mpc:

@@ -31,12 +31,6 @@ _finite_inv_cache: dict = {}
 _infinite_cache: dict = {}
 
 
-def clear_caches():
-    _finite_cache.clear()
-    _finite_inv_cache.clear()
-    _infinite_cache.clear()
-
-
 def poch_finite(x: ParamValue, h: int, k: int, order: int) -> QSeries:
     """(x; q^h)_k = prod_{i=0}^{k-1} (1 - x*q^{h*i}) truncated at order."""
     if h < 1:

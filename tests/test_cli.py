@@ -70,6 +70,15 @@ def test_check_numeric_with_subst(capsys):
     assert "pass" in out
 
 
+def test_check_negative_exponent_exit_3(capsys):
+    code, out, err = run(capsys, "check", "gb-sym-heine", "--order", "8",
+                         "--subst", "h=-1,t=1")
+    assert code == 3
+    assert err.strip().splitlines() == [
+        "error: NonIntegerExponent: exponent symbol 'h' must be a "
+        "non-negative integer, got -1"]
+
+
 def test_check_both_backends(capsys):
     code, out, _ = run(capsys, "check", "1.6.6", "--backend", "both",
                        "--order", "32")

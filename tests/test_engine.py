@@ -8,6 +8,7 @@ import mpmath
 import pytest
 from mpmath import mpc
 
+from qsv import numeric as num
 from qsv.dsl import parse_expr
 from qsv.engine import (
     ExactEnv,
@@ -236,6 +237,61 @@ def test_numeric_complex_exponents():
     env = NumericEnv(q=0.35, params={"a": 0.1, "b": 0.2, "w": 0.3, "z": 0.25},
                      exps={"h": 1.5, "t": 0.7}, tol=1e-11)
     assert rel_err(eval_numeric(lhs, env), eval_numeric(rhs, env)) < 1e-9
+
+
+# -- numeric evaluator memos: per evaluator, keyed by (x, base) ---------------------
+
+
+def test_numeric_finite_prefix_shrinks_and_grows():
+    # one evaluator, lengths out of order: the shared prefix must hand back
+    # exactly the from-scratch product, separately for each argument and base
+    env = NumericEnv(q=0.3, params={"a": 0.4, "b": -0.6},
+                     exps={"h": 1.5, "t": 0.7})
+    ev = NumericEvaluator(env)
+    for n in (7, 3, 12):
+        for name, base in itertools.product(("a", "b"), ("h", "t")):
+            x, qbase = env.params[name], num.cpow(env.q, env.exps[base])
+            got = ev.eval(parse_expr(f"poch({name}; q^{base})_n"), {"n": n})
+            assert got == num.qpoch_finite_numeric(x, qbase, n)
+            got = ev.eval(parse_expr(f"poch({name}; q^{base})_inf"))
+            assert got == num.qpoch_inf_numeric(x, qbase, env.tol)
+
+
+def test_numeric_complex_length_sum_matches_reference():
+    summand = ("poch(a; q^h)_k / poch(q^h; q^h)_k"
+               " * poch(w; q^t)_(h*k) / poch(b*w; q^t)_(h*k) * z^k")
+    q, a, b, w, z = 0.35, 0.1, 0.2, 0.3, 0.25
+    h, t = complex(1.2, 0.3), 0.7
+    env = NumericEnv(q=q, params={"a": a, "b": b, "w": w, "z": z},
+                     exps={"h": h, "t": t}, tol=1e-12)
+    got = eval_numeric(parse_expr(f"sum(k=0..inf; {summand})"), env)
+
+    qh, qt = num.cpow(q, h), num.cpow(q, t)
+    bw = mpc(b) * mpc(w)
+
+    def term(k):
+        length = mpc(h) * k
+        return (num.qpoch_complex_index(a, qh, k, env.tol)
+                / num.qpoch_complex_index(qh, qh, k, env.tol)
+                * num.qpoch_complex_index(w, qt, length, env.tol)
+                / num.qpoch_complex_index(bw, qt, length, env.tol)
+                * mpc(z) ** k)
+
+    assert rel_err(got, num.sum_with_tail_bound(term, env.tol)) < 1e-25
+
+
+def test_numeric_memos_do_not_outlive_their_evaluator():
+    expr = parse_expr("poch(a; q^h)_inf / poch(z; q^h)_inf * poch(a; q^h)_n")
+    values = []
+    for q in (0.2, 0.35, 0.2):
+        env = NumericEnv(q=q, params={"a": 0.3, "z": 0.25}, exps={"h": 1.5})
+        qh = num.cpow(q, 1.5)
+        expected = (num.qpoch_inf_numeric(0.3, qh, env.tol)
+                    / num.qpoch_inf_numeric(0.25, qh, env.tol)
+                    * num.qpoch_finite_numeric(0.3, qh, 5))
+        values.append(NumericEvaluator(env).eval(expr, {"n": 5}))
+        assert values[-1] == expected
+    assert values[2] == values[0] != values[1]
 
 
 def test_backend_agreement_on_catalog(catalog_records):
