@@ -32,7 +32,7 @@ from .verifier import (
     emit_report,
     format_cnum,
     load_catalog_file,
-    verify,
+    verify_record,
 )
 
 EXIT_OK = 0
@@ -123,7 +123,7 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _point_with_overrides(record, backend, overrides, order, tol):
+def _point_with_overrides(record, backend, overrides):
     if backend == "exact":
         grid = default_exact_grid(record)
         base = grid[0] if grid else GridPoint({}, {})
@@ -164,20 +164,13 @@ def _run_checks(records, ids, backend, order, tol, subst_text):
     for rid in ids:
         record = find_record(records, rid)
         for be in backends:
-            if be == "exact" and record.numeric_only:
-                report = verify(record, GridPoint({}, {}), backend="exact",
-                                order=order)
-                reports.append(report)
-                continue
-            if subst_text:
-                points = _point_with_overrides(
-                    record, be, parse_subst(subst_text, be), order, tol)
-            else:
-                points = (default_exact_grid(record) if be == "exact"
-                          else default_numeric_grid(record))
-            for point in points:
-                reports.append(verify(record, point, backend=be,
-                                      order=order, tol=tol))
+            points = None
+            # an exact check of a numeric-only record never reads --subst
+            if subst_text and not (be == "exact" and record.numeric_only):
+                points = _point_with_overrides(record, be,
+                                               parse_subst(subst_text, be))
+            reports.extend(verify_record(record, backend=be, order=order,
+                                         tol=tol, points=points))
     return reports
 
 

@@ -322,7 +322,7 @@ class Parser:
         if self.at_name("inf"):
             self.lex.next()
             return INF
-        return self.parse_ipart_len()
+        return self.parse_ipart()
 
     def parse_ipart(self) -> IntPoly:
         """An exponent position: a bare symbol, a bare integer, or a
@@ -341,9 +341,6 @@ class Parser:
             return poly
         self._err(f"expected an exponent, found {tok.value!r}", tok,
                   ["name", "number", "("])
-
-    def parse_ipart_len(self) -> IntPoly:
-        return self.parse_ipart()
 
     # exponent polynomials ----------------------------------------------------
 

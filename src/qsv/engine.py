@@ -35,12 +35,15 @@ from .exact import (
     ParamValue,
     QSeries,
     series_add,
+    series_const,
     series_div_binomial,
     series_inv,
     series_mul,
     series_mul_many,
     series_one,
     series_pow,
+    series_scale,
+    series_shift,
     series_zero,
 )
 from .expr import (
@@ -65,10 +68,12 @@ from .expr import (
 from .intpoly import IntPoly
 from .qkernel import (
     ThetaKind,
+    omega_product_collapse,
     poch_finite,
     poch_finite_inv,
     poch_infinite,
     poch_infinite_inv,
+    stride_base_product,
     theta_series,
 )
 
@@ -258,7 +263,7 @@ class ExactEvaluator:
             if m is not None:
                 if m.coeff == 0:
                     return _BIG if n > 0 else 0
-                return n * m.qpow if n >= 0 else n * m.qpow
+                return n * m.qpow
             if n >= 0:
                 return min(n * max(self.val_lb(e.base, idxenv), 0), _BIG)
             c = self.const0(e.base, idxenv)
@@ -281,11 +286,11 @@ class ExactEvaluator:
         if isinstance(e, QPow):
             return ParamValue(Fraction(1), self._qexp(e.exponent, idxenv)).to_series(N)
         if isinstance(e, Neg):
-            return series_mul_scalar(self._eval(e.arg, idxenv), Fraction(-1))
+            return series_scale(self._eval(e.arg, idxenv), -1)
         if isinstance(e, Add):
             return series_add(self._eval(e.left, idxenv), self._eval(e.right, idxenv))
         if isinstance(e, Sub):
-            right = series_mul_scalar(self._eval(e.right, idxenv), Fraction(-1))
+            right = series_scale(self._eval(e.right, idxenv), -1)
             return series_add(self._eval(e.left, idxenv), right)
         if isinstance(e, (Mul, Div)):
             return self._eval_product(e, idxenv)
@@ -295,16 +300,8 @@ class ExactEvaluator:
             if m is not None:
                 return m.pow(n).to_series(N)
             return series_pow(self._eval(e.base, idxenv), n)
-        if isinstance(e, Poch):
-            return self._eval_poch(e, idxenv, inverse=False)
-        if isinstance(e, OmegaProd):
-            h = self._base_exp(e.h, idxenv)
-            length = self._length(e.length, idxenv)
-            return self._omega_series(h, length, inverse=False)
-        if isinstance(e, StrideProd):
-            h = self._base_exp(e.h, idxenv)
-            length = self._length(e.length, idxenv)
-            return self._stride_series(h, length, inverse=False)
+        if isinstance(e, (Poch, OmegaProd, StrideProd)):
+            return self._eval_symbol(e, idxenv, inverse=False)
         if isinstance(e, Theta):
             kind = ThetaKind.PSI if e.kind == "psi" else ThetaKind.PHI_MINUS
             return theta_series(kind, N)
@@ -367,20 +364,20 @@ class ExactEvaluator:
                 out[i + mono.qpow] = c * x
         return QSeries(N, tuple(out))
 
-    def _eval_poch(self, e: Poch, idxenv, inverse: bool) -> QSeries:
+    def _eval_symbol(self, e, idxenv, inverse: bool) -> QSeries:
+        """A Poch, OmegaProd or StrideProd node, or its reciprocal."""
         N = self.order
+        if not isinstance(e, Poch):
+            h = self._base_exp(e.h, idxenv)
+            length = self._length(e.length, idxenv)
+            fn = (omega_product_collapse if isinstance(e, OmegaProd)
+                  else stride_base_product)
+            return fn(length, h, N, inverse=inverse)
         arg = self.monomial(e.arg, idxenv)
         base = self._base_exp(e.base, idxenv)
         length = self._length(e.length, idxenv)
         if arg is not None:
             if length is None:
-                if arg.is_zero():
-                    return series_one(N)
-                if arg.qpow == 0:
-                    raise NonTruncatable(
-                        "(x;q^h)_inf with zero-valuation argument; "
-                        "use the numeric backend"
-                    )
                 fn = poch_infinite_inv if inverse else poch_infinite
                 return fn(arg, base, N)
             fn = poch_finite_inv if inverse else poch_finite
@@ -389,66 +386,18 @@ class ExactEvaluator:
         if length is None:
             raise NonTruncatable("infinite product over a non-monomial argument")
         argseries = self._eval(e.arg, idxenv)
-        out = series_one(N)
+        one = series_one(N)
+        out = one
         for i in range(length):
-            factor = series_add(series_one(N),
-                                series_mul_scalar(
-                                    shift_by(argseries, base * i), Fraction(-1)))
-            out = series_mul(out, factor)
+            out = series_mul(out, series_add(one, series_shift(argseries, -1, base * i)))
         return series_inv(out) if inverse else out
-
-    def _omega_series(self, h, length, inverse):
-        one = Fraction(1)
-        q = ParamValue(one, 1)
-        qh = ParamValue(one, h)
-        N = self.order
-        if h == 1:
-            return series_one(N)
-        if length is None:
-            num_, den_inv = ((poch_infinite(q, 1, N), poch_infinite_inv(qh, h, N))
-                             if inverse else
-                             (poch_infinite(qh, h, N), poch_infinite_inv(q, 1, N)))
-        else:
-            num_, den_inv = ((poch_finite(q, 1, length, N),
-                              poch_finite_inv(qh, h, length, N))
-                             if inverse else
-                             (poch_finite(qh, h, length, N),
-                              poch_finite_inv(q, 1, length, N)))
-        return series_mul(num_, den_inv)
-
-    def _stride_series(self, h, length, inverse):
-        one = Fraction(1)
-        q = ParamValue(one, 1)
-        qh = ParamValue(one, h)
-        N = self.order
-        if h == 1:
-            return series_one(N)
-        if length is None:
-            num_, den_inv = ((poch_infinite(qh, h, N), poch_infinite_inv(q, 1, N))
-                             if inverse else
-                             (poch_infinite(q, 1, N), poch_infinite_inv(qh, h, N)))
-        else:
-            num_, den_inv = ((poch_finite(qh, h, length, N),
-                              poch_finite_inv(q, 1, h * length, N))
-                             if inverse else
-                             (poch_finite(q, 1, h * length, N),
-                              poch_finite_inv(qh, h, length, N)))
-        return series_mul(num_, den_inv)
 
     def _eval_inv(self, e: Expr, idxenv) -> QSeries:
         """1/e, routing Pochhammer and near-binomial denominators through
         O(N)-per-factor recurrences instead of a full series inversion."""
         N = self.order
-        if isinstance(e, Poch):
-            return self._eval_poch(e, idxenv, inverse=True)
-        if isinstance(e, OmegaProd):
-            h = self._base_exp(e.h, idxenv)
-            length = self._length(e.length, idxenv)
-            return self._omega_series(h, length, inverse=True)
-        if isinstance(e, StrideProd):
-            h = self._base_exp(e.h, idxenv)
-            length = self._length(e.length, idxenv)
-            return self._stride_series(h, length, inverse=True)
+        if isinstance(e, (Poch, OmegaProd, StrideProd)):
+            return self._eval_symbol(e, idxenv, inverse=True)
         if isinstance(e, (Mul, Div, Neg)):
             return self._eval_product(e, idxenv, invert_all=True)
         if isinstance(e, Pow):
@@ -465,8 +414,7 @@ class ExactEvaluator:
         if nonzero and nonzero[0][0] == 0 and len(nonzero) == 2:
             c0 = nonzero[0][1]
             i1, c1 = nonzero[1]
-            scaled = series_mul_scalar(series_one(N), 1 / c0)
-            return series_div_binomial(scaled, c1 / c0, i1)
+            return series_div_binomial(series_const(1 / c0, N), c1 / c0, i1)
         return series_inv(s)
 
     # -- sums -------------------------------------------------------------------
@@ -585,20 +533,6 @@ class ExactEvaluator:
         if r < 1 or not (0 <= s < r):
             raise ValueError("need r >= 1 and 0 <= s < r")
         return self._eval_sum(index, s, r, summand, idxenv or {})
-
-
-def series_mul_scalar(f: QSeries, c) -> QSeries:
-    c = Fraction(c)
-    return QSeries(f.order, tuple(c * x for x in f.coeffs))
-
-
-def shift_by(f: QSeries, m: int) -> QSeries:
-    """f * q^m."""
-    out = [Fraction(0)] * f.order
-    for i, c in enumerate(f.coeffs):
-        if c and i + m < f.order:
-            out[i + m] = c
-    return QSeries(f.order, tuple(out))
 
 
 def eval_exact(e: Expr, env: ExactEnv) -> QSeries:

@@ -131,28 +131,33 @@ def _to_int_coeffs(coeffs):
     return [c.numerator * (den // c.denominator) for c in coeffs], den
 
 
+def _int_convolve(a, b, n):
+    """The first n coefficients of the product of two integer vectors,
+    skipping zero coefficients (q-series products are usually sparse)."""
+    out = [0] * n
+    for i in range(n):
+        x = a[i]
+        if not x:
+            continue
+        for j in range(n - i):
+            y = b[j]
+            if y:
+                out[i + j] += x * y
+    return out
+
+
 def series_mul(f: QSeries, g: QSeries) -> QSeries:
     """Cauchy product truncated at min(f.order, g.order).
 
     Runs the convolution over integers (coefficients scaled by a common
     denominator) -- far cheaper than Fraction arithmetic, which reduces
-    by gcd on every operation.  Zero coefficients are skipped; q-series
-    products are usually sparse.
+    by gcd on every operation.
     """
     n = min(f.order, g.order)
     fi, df = _to_int_coeffs(f.coeffs[:n])
     gi, dg = _to_int_coeffs(g.coeffs[:n])
-    out = [0] * n
-    for i in range(n):
-        a = fi[i]
-        if not a:
-            continue
-        for j in range(n - i):
-            b = gi[j]
-            if b:
-                out[i + j] += a * b
     den = df * dg
-    return QSeries(n, tuple(Fraction(v, den) for v in out))
+    return QSeries(n, tuple(Fraction(v, den) for v in _int_convolve(fi, gi, n)))
 
 
 def series_mul_binomial(f: QSeries, c, e) -> QSeries:
@@ -196,16 +201,7 @@ def series_mul_many(factors) -> QSeries:
     acc, den = _to_int_coeffs(factors[0].coeffs[:n])
     for f in factors[1:]:
         gi, dg = _to_int_coeffs(f.coeffs[:n])
-        out = [0] * n
-        for i in range(n):
-            a = acc[i]
-            if not a:
-                continue
-            for j in range(n - i):
-                b = gi[j]
-                if b:
-                    out[i + j] += a * b
-        acc = out
+        acc = _int_convolve(acc, gi, n)
         den *= dg
     return QSeries(n, tuple(Fraction(v, den) for v in acc))
 

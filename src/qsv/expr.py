@@ -212,29 +212,37 @@ def free_names(e: Expr) -> set:
     return out
 
 
+def children(e: Expr) -> tuple:
+    """The sub-expressions directly under e (exponent polynomials and
+    lengths are IntPoly values, not sub-expressions)."""
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return (e.left, e.right)
+    if isinstance(e, (Neg, Poch)):
+        return (e.arg,)
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, (Sum, MultiSum)):
+        return (e.summand,)
+    return ()
+
+
+def walk(e: Expr, bound: frozenset = frozenset()):
+    """Every node of e in pre-order, each paired with the summation
+    indices bound by the sums around it."""
+    yield e, bound
+    if isinstance(e, Sum):
+        bound = bound | {e.index}
+    elif isinstance(e, MultiSum):
+        bound = bound | set(e.indices)
+    for child in children(e):
+        yield from walk(child, bound)
+
+
 def param_names(e: Expr) -> set:
     """Free names used as parameter leaves (as opposed to exponent
     symbols, which only appear inside polynomials)."""
-    out = set()
-
-    def walk(node, bound):
-        if isinstance(node, Param):
-            if node.name not in bound:
-                out.add(node.name)
-        elif isinstance(node, (Poch, Neg)):
-            walk(node.arg, bound)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            walk(node.left, bound)
-            walk(node.right, bound)
-        elif isinstance(node, Pow):
-            walk(node.base, bound)
-        elif isinstance(node, Sum):
-            walk(node.summand, bound | {node.index})
-        elif isinstance(node, MultiSum):
-            walk(node.summand, bound | set(node.indices))
-
-    walk(e, set())
-    return out
+    return {node.name for node, bound in walk(e)
+            if isinstance(node, Param) and node.name not in bound}
 
 
 def substitute(e: Expr, sub: dict, *, check_names: bool = True) -> Expr:

@@ -30,13 +30,21 @@ _finite_cache: dict = {}
 _finite_inv_cache: dict = {}
 _infinite_cache: dict = {}
 
+_Q = ParamValue(Fraction(1), 1)
+
+
+def _check_shape(h: int, k: int = 0):
+    """The domain shared by every symbol here: base exponent h >= 1 (h = 0
+    would make an infinite product of equal factors) and length k >= 0."""
+    if h < 1:
+        raise ValueError(f"base exponent must be a positive integer, got {h}")
+    if k < 0:
+        raise ValueError(f"Pochhammer length must be non-negative, got {k}")
+
 
 def poch_finite(x: ParamValue, h: int, k: int, order: int) -> QSeries:
     """(x; q^h)_k = prod_{i=0}^{k-1} (1 - x*q^{h*i}) truncated at order."""
-    if h < 1:
-        raise ValueError("base exponent must be a positive integer")
-    if k < 0:
-        raise ValueError("finite Pochhammer length must be non-negative")
+    _check_shape(h, k)
     if x.is_zero() or k == 0:
         return series_one(order)
     key = (x.coeff, x.qpow, h, order)
@@ -62,6 +70,7 @@ def poch_finite(x: ParamValue, h: int, k: int, order: int) -> QSeries:
 
 def poch_finite_inv(x: ParamValue, h: int, k: int, order: int) -> QSeries:
     """1 / (x; q^h)_k, cached incrementally alongside poch_finite."""
+    _check_shape(h, k)
     if x.is_zero() or k == 0:
         return series_one(order)
     if x.qpow == 0 and x.coeff == 1:
@@ -97,8 +106,7 @@ def poch_infinite(x: ParamValue, h: int, order: int) -> QSeries:
     Requires x = 0 or qpow >= 1 so that only finitely many factors touch
     coefficients below the truncation order.
     """
-    if h < 1:
-        raise ValueError("base exponent must be a positive integer")
+    _check_shape(h)
     if x.is_zero():
         return series_one(order)
     if x.qpow == 0:
@@ -120,6 +128,7 @@ def poch_infinite(x: ParamValue, h: int, order: int) -> QSeries:
 
 
 def poch_infinite_inv(x: ParamValue, h: int, order: int) -> QSeries:
+    _check_shape(h)
     if x.is_zero():
         return series_one(order)
     if x.qpow == 0:
@@ -159,45 +168,39 @@ def poch_stride_product(a: ParamValue, r: int, k: int, h_inner: int, order: int)
     return out
 
 
-def omega_product_collapse(j, h: int, order: int) -> QSeries:
+def _poch_quotient(top, bottom, order: int, inverse: bool) -> QSeries:
+    """(x; q^h)_k / (y; q^g)_m for top = (x, h, k) and bottom = (y, g, m),
+    or its reciprocal when inverse; a length of None means inf."""
+    if inverse:
+        top, bottom = bottom, top
+    (x, h, k), (y, g, m) = top, bottom
+    num = poch_infinite(x, h, order) if k is None else poch_finite(x, h, k, order)
+    den_inv = (poch_infinite_inv(y, g, order) if m is None
+               else poch_finite_inv(y, g, m, order))
+    return series_mul(num, den_inv)
+
+
+def omega_product_collapse(j, h: int, order: int, inverse: bool = False) -> QSeries:
     """The primitive-root product (q*w, q*w^2, ..., q*w^{h-1}; q)_j for
     w a primitive h-th root of unity, represented exactly over Q as
-    (q^h;q^h)_j / (q;q)_j.  For j = inf pass j=None."""
-    if h < 1:
-        raise ValueError("h must be a positive integer")
+    (q^h;q^h)_j / (q;q)_j, or its reciprocal when inverse.  For j = inf
+    pass j=None."""
+    _check_shape(h, j or 0)
     if h == 1:
         return series_one(order)
-    q = ParamValue(Fraction(1), 1)
-    qh = ParamValue(Fraction(1), h)
-    if j is None:
-        num = poch_infinite(qh, h, order)
-        den_inv = poch_infinite_inv(q, 1, order)
-    else:
-        if j < 0:
-            raise ValueError("length must be non-negative")
-        num = poch_finite(qh, h, j, order)
-        den_inv = poch_finite_inv(q, 1, j, order)
-    return series_mul(num, den_inv)
+    return _poch_quotient((ParamValue(Fraction(1), h), h, j), (_Q, 1, j),
+                          order, inverse)
 
 
-def stride_base_product(j, h: int, order: int) -> QSeries:
+def stride_base_product(j, h: int, order: int, inverse: bool = False) -> QSeries:
     """(q, q^2, ..., q^{h-1}; q^h)_j represented as (q;q)_{hj} / (q^h;q^h)_j
-    (for j = inf, as (q;q)_inf / (q^h;q^h)_inf).  Empty product for h=1."""
-    if h < 1:
-        raise ValueError("h must be a positive integer")
+    (for j = inf, as (q;q)_inf / (q^h;q^h)_inf), or its reciprocal when
+    inverse.  Empty product for h=1."""
+    _check_shape(h, j or 0)
     if h == 1:
         return series_one(order)
-    q = ParamValue(Fraction(1), 1)
-    qh = ParamValue(Fraction(1), h)
-    if j is None:
-        num = poch_infinite(q, 1, order)
-        den_inv = poch_infinite_inv(qh, h, order)
-    else:
-        if j < 0:
-            raise ValueError("length must be non-negative")
-        num = poch_finite(q, 1, h * j, order)
-        den_inv = poch_finite_inv(qh, h, j, order)
-    return series_mul(num, den_inv)
+    return _poch_quotient((_Q, 1, None if j is None else h * j),
+                          (ParamValue(Fraction(1), h), h, j), order, inverse)
 
 
 class ThetaKind(Enum):

@@ -30,7 +30,7 @@ from .engine import (
 )
 from .errors import LineageKindUnsupported, QsvError, UnknownId
 from .exact import DEFAULT_ORDER, ParamValue, QSeries
-from .expr import Expr, Mul, OmegaProd, StrideProd, canon, substitute
+from .expr import Mul, MultiSum, OmegaProd, StrideProd, canon, substitute, walk
 
 #: exact parameter candidates: diverse signs and denominators catch
 #: coefficient errors that an all-ones assignment would miss
@@ -89,41 +89,24 @@ class VerifyReport:
     error: str | None = None  # cause, not part of the JSON schema
 
 
+def _nodes(record: IdentityRecord):
+    for side in (record.lhs, record.rhs):
+        for node, _ in walk(side):
+            yield node
+
+
 def _int_exp_symbols(record: IdentityRecord) -> set:
     """Exponent symbols that index root-of-unity or stride families must
     stay integers even on the numeric backend."""
     found = set()
-
-    def walk(e):
-        if isinstance(e, (OmegaProd, StrideProd)):
-            found.update(e.h.symbols())
-        for attr in ("arg", "summand", "left", "right", "base"):
-            child = getattr(e, attr, None)
-            if isinstance(child, Expr):
-                walk(child)
-
-    walk(record.lhs)
-    walk(record.rhs)
+    for node in _nodes(record):
+        if isinstance(node, (OmegaProd, StrideProd)):
+            found.update(node.h.symbols())
     return found & set(record.exps)
 
 
 def _has_multisum(record: IdentityRecord) -> bool:
-    from .expr import MultiSum
-
-    found = False
-
-    def walk(e):
-        nonlocal found
-        if isinstance(e, MultiSum):
-            found = True
-        for attr in ("arg", "summand", "left", "right", "base"):
-            child = getattr(e, attr, None)
-            if isinstance(child, Expr):
-                walk(child)
-
-    walk(record.lhs)
-    walk(record.rhs)
-    return found
+    return any(isinstance(node, MultiSum) for node in _nodes(record))
 
 
 def _exp_assignments(record: IdentityRecord):

@@ -101,6 +101,30 @@ def test_check_unknown_id_exit_2(capsys):
 def test_check_numeric_only_under_exact_exit_3(capsys):
     code, out, _ = run(capsys, "check", "andrews-fl-r2-s1", "--backend", "exact")
     assert code == 3
+    # the exact check never reads --subst, so a malformed one is no usage error
+    code, out, _ = run(capsys, "check", "andrews-fl-r2-s1", "--backend", "exact",
+                       "--subst", "not-a-binding")
+    assert code == 3
+    assert "record is numeric-only" in out
+
+
+@pytest.mark.parametrize("command", [("check", "never"), ("check-all",)])
+def test_no_admissible_grid_point_exit_3(capsys, tmp_path, command):
+    catalog = tmp_path / "never.qsv"
+    catalog.write_text("""
+identity never {
+  anchor "t";
+  params z;
+  constraints abs(z) < 0;
+  lhs = z;
+  rhs = z;
+}
+""")
+    code, out, _ = run(capsys, *command, "--backend", "numeric",
+                       "--catalog", str(catalog))
+    assert code == 3
+    assert "never" in out and "(no admissible grid point)" in out
+    assert "summary: 0 pass, 0 mismatch, 1 error" in out
 
 
 def test_check_all_filtered(capsys, tmp_path):

@@ -5,6 +5,7 @@ truncated series on randomized expressions and on catalog sides."""
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -256,3 +257,15 @@ def test_catalog_sides_match_naive_interpreter(catalog):
             fast = eval_exact(side, env)
             slow = to_series(naive_eval(side, env, {}, order), order)
             assert fast == slow, rid
+
+
+@pytest.mark.parametrize("length", ["0", "1", "4", "inf"])
+@pytest.mark.parametrize("h", [1, 2, 3])
+@pytest.mark.parametrize("form", ["qomega(h)_n", "1/qomega(h)_n",
+                                  "qstride(h)_n", "1/qstride(h)_n"])
+def test_collapsed_products_and_reciprocals_match_naive(form, h, length):
+    # no catalog record divides by qomega or qstride; this checks that route
+    e = parse_expr(form.replace("(h)", f"({h})").replace("_n", f"_{length}"))
+    order = 16
+    env = ExactEnv(order=order)
+    assert eval_exact(e, env) == to_series(naive_eval(e, env, {}, order), order)

@@ -209,6 +209,22 @@ def test_stride_base_product():
     assert [int(c) for c in got.coeffs] == [1, -1, 0, -1, 1, 0, 0, 0]
 
 
+@pytest.mark.parametrize("call", [
+    lambda: poch_finite(pv(1, 1), 0, 3, 8),
+    lambda: poch_finite_inv(pv(1, 1), 0, 3, 8),
+    lambda: poch_infinite(pv(1, 1), 0, 8),
+    lambda: poch_infinite_inv(pv(1, 1), 0, 8),
+    lambda: poch_finite(pv(1, 1), 1, -1, 8),
+    lambda: poch_finite_inv(pv(1, 1), 1, -1, 8),
+    lambda: omega_product_collapse(-1, 2, 8, inverse=True),
+    lambda: stride_base_product(2, 0, 8, inverse=True),
+], ids=["finite-h0", "finite-inv-h0", "infinite-h0", "infinite-inv-h0",
+        "finite-k-1", "finite-inv-k-1", "omega-inv-j-1", "stride-inv-h0"])
+def test_symbols_reject_bad_base_or_length(call):
+    with pytest.raises(ValueError, match="base exponent|length"):
+        call()
+
+
 # -- theta functions ----------------------------------------------------------------
 
 
