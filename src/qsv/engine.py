@@ -27,6 +27,7 @@ from .errors import (
     DivisionByZeroProduct,
     NonIntegerExponent,
     NonTruncatable,
+    TermCapExceeded,
     UnknownName,
     ValuationStall,
 )
@@ -68,12 +69,14 @@ from .expr import (
 from .intpoly import IntPoly
 from .qkernel import (
     ThetaKind,
+    omega_collapse,
     omega_product_collapse,
     poch_finite,
     poch_finite_inv,
     poch_infinite,
     poch_infinite_inv,
     stride_base_product,
+    stride_collapse,
     theta_series,
 )
 
@@ -109,26 +112,29 @@ class NumericEnv:
 
 
 class ExactEvaluator:
+    """Exact evaluation under one environment.  `idxenv` maps exponent
+    symbols and the bound summation indices to their integer values; the
+    entry points `eval` and `sum_sectioned` bind the exponent symbols into
+    it once."""
+
     def __init__(self, env: ExactEnv):
         self.env = env
         self.order = env.order
 
+    def _bind(self, idxenv):
+        """Exponent symbols, shadowed by any summation index of that name."""
+        return {**self.env.exps, **(idxenv or {})}
+
     # -- symbol helpers -------------------------------------------------------
 
-    def _poly_env(self, idxenv):
-        return {**self.env.exps, **idxenv}
-
-    def _poly_int(self, p: IntPoly, idxenv) -> int:
-        return p.eval_int(self._poly_env(idxenv))
-
     def _qexp(self, p: IntPoly, idxenv) -> int:
-        v = self._poly_int(p, idxenv)
+        v = p.eval_int(idxenv)
         if v < 0:
             raise NonIntegerExponent(f"q-power exponent {p.render()} = {v} < 0")
         return v
 
     def _base_exp(self, p: IntPoly, idxenv) -> int:
-        v = self._poly_int(p, idxenv)
+        v = p.eval_int(idxenv)
         if v < 1:
             raise NonIntegerExponent(f"base exponent {p.render()} = {v} < 1")
         return v
@@ -136,7 +142,7 @@ class ExactEvaluator:
     def _length(self, length, idxenv):
         if length is INF:
             return None
-        v = self._poly_int(length, idxenv)
+        v = length.eval_int(idxenv)
         if v < 0:
             raise NonIntegerExponent(f"Pochhammer length {length.render()} = {v} < 0")
         return v
@@ -176,7 +182,7 @@ class ExactEvaluator:
             a = self.monomial(e.base, idxenv)
             if a is None:
                 return None
-            n = self._poly_int(e.exponent, idxenv)
+            n = e.exponent.eval_int(idxenv)
             return a.pow(n)
         return None
 
@@ -190,7 +196,7 @@ class ExactEvaluator:
             pv = self._param(e.name)
             return pv.coeff if pv.qpow == 0 else Fraction(0)
         if isinstance(e, QPow):
-            v = self._poly_int(e.exponent, idxenv)
+            v = e.exponent.eval_int(idxenv)
             return Fraction(1) if v == 0 else Fraction(0)
         if isinstance(e, Neg):
             c = self.const0(e.arg, idxenv)
@@ -217,7 +223,7 @@ class ExactEvaluator:
             a = self.const0(e.base, idxenv)
             if a is None:
                 return None
-            n = self._poly_int(e.exponent, idxenv)
+            n = e.exponent.eval_int(idxenv)
             if n < 0 and a == 0:
                 return None
             return a ** n
@@ -244,7 +250,7 @@ class ExactEvaluator:
             pv = self._param(e.name)
             return _BIG if pv.coeff == 0 else pv.qpow
         if isinstance(e, QPow):
-            v = self._poly_int(e.exponent, idxenv)
+            v = e.exponent.eval_int(idxenv)
             return max(v, 0)
         if isinstance(e, Neg):
             return self.val_lb(e.arg, idxenv)
@@ -258,7 +264,7 @@ class ExactEvaluator:
                 return -_BIG
             return self.val_lb(e.left, idxenv)
         if isinstance(e, Pow):
-            n = self._poly_int(e.exponent, idxenv)
+            n = e.exponent.eval_int(idxenv)
             m = self.monomial(e.base, idxenv)
             if m is not None:
                 if m.coeff == 0:
@@ -275,7 +281,7 @@ class ExactEvaluator:
     # -- evaluation ---------------------------------------------------------------
 
     def eval(self, e: Expr, idxenv=None) -> QSeries:
-        return self._eval(e, idxenv or {})
+        return self._eval(e, self._bind(idxenv))
 
     def _eval(self, e: Expr, idxenv) -> QSeries:
         N = self.order
@@ -295,7 +301,7 @@ class ExactEvaluator:
         if isinstance(e, (Mul, Div)):
             return self._eval_product(e, idxenv)
         if isinstance(e, Pow):
-            n = self._poly_int(e.exponent, idxenv)
+            n = e.exponent.eval_int(idxenv)
             m = self.monomial(e.base, idxenv)
             if m is not None:
                 return m.pow(n).to_series(N)
@@ -357,12 +363,7 @@ class ExactEvaluator:
             s = self._eval_inv(node, idxenv) if inv else self._eval(node, idxenv)
             factors.append(s.truncate(reduced))
         prod = factors[0] if len(factors) == 1 else series_mul_many(factors)
-        out = [Fraction(0)] * N
-        c = mono.coeff
-        for i, x in enumerate(prod.coeffs):
-            if x:
-                out[i + mono.qpow] = c * x
-        return QSeries(N, tuple(out))
+        return series_shift(prod, mono.coeff, mono.qpow, N)
 
     def _eval_symbol(self, e, idxenv, inverse: bool) -> QSeries:
         """A Poch, OmegaProd or StrideProd node, or its reciprocal."""
@@ -401,7 +402,7 @@ class ExactEvaluator:
         if isinstance(e, (Mul, Div, Neg)):
             return self._eval_product(e, idxenv, invert_all=True)
         if isinstance(e, Pow):
-            n = self._poly_int(e.exponent, idxenv)
+            n = e.exponent.eval_int(idxenv)
             m = self.monomial(e.base, idxenv)
             if m is not None:
                 return m.pow(-n).to_series(N)
@@ -410,11 +411,11 @@ class ExactEvaluator:
         if m is not None:
             return m.pow(-1).to_series(N)
         s = self._eval(e, idxenv)
-        nonzero = [(i, c) for i, c in enumerate(s.coeffs) if c]
-        if nonzero and nonzero[0][0] == 0 and len(nonzero) == 2:
-            c0 = nonzero[0][1]
-            i1, c1 = nonzero[1]
-            return series_div_binomial(series_const(1 / c0, N), c1 / c0, i1)
+        nonzero = [(i, x) for i, x in enumerate(s.nums) if x]
+        if len(nonzero) == 2 and nonzero[0][0] == 0:
+            (_, x0), (i1, x1) = nonzero
+            return series_div_binomial(series_const(Fraction(s.den, x0), N),
+                                       Fraction(x1, x0), i1)
         return series_inv(s)
 
     # -- sums -------------------------------------------------------------------
@@ -448,7 +449,7 @@ class ExactEvaluator:
     def _eval_sum(self, index, start, stride, summand, idxenv) -> QSeries:
         N = self.order
         self._stall_preflight(summand, index, start, stride, idxenv)
-        total = [Fraction(0)] * N
+        total = series_zero(N)
         idx = start
         beyond = 0
         vmax = -1
@@ -457,7 +458,8 @@ class ExactEvaluator:
         while True:
             iterations += 1
             if iterations > MAX_EXACT_TERMS:
-                raise ValuationStall(f"sum over {index!r} exceeded the term cap")
+                raise TermCapExceeded(f"sum over {index!r} exceeded the term cap "
+                                      f"of {MAX_EXACT_TERMS}")
             sub_idx = {**idxenv, index: idx}
             lb = self.val_lb(summand, sub_idx)
             if lb >= N:
@@ -468,9 +470,7 @@ class ExactEvaluator:
                 continue
             beyond = 0
             term = self._eval(summand, sub_idx)
-            for i, c in enumerate(term.coeffs):
-                if c:
-                    total[i] += c
+            total = series_add(total, term)
             v = term.valuation()
             if v > vmax:
                 vmax = v
@@ -483,7 +483,7 @@ class ExactEvaluator:
                         f"q-valuation at {vmax}"
                     )
             idx += stride
-        return QSeries(N, tuple(total))
+        return total
 
     def _msum_rates(self, indices, summand, idxenv):
         base = {**idxenv, **{i: 0 for i in indices}}
@@ -504,18 +504,16 @@ class ExactEvaluator:
         if len(indices) == 1:
             return self._eval_sum(indices[0], 0, 1, summand, idxenv)
         lb0, rates = self._msum_rates(indices, summand, idxenv)
-        total = [Fraction(0)] * N
+        total = series_zero(N)
         budget = N - lb0
 
         def enumerate_rec(pos, assignment, spent):
+            nonlocal total
             if pos == len(indices):
                 sub_idx = {**idxenv, **assignment}
                 if self.val_lb(summand, sub_idx) >= N:
                     return
-                term = self._eval(summand, sub_idx)
-                for i, c in enumerate(term.coeffs):
-                    if c:
-                        total[i] += c
+                total = series_add(total, self._eval(summand, sub_idx))
                 return
             ix, rate = indices[pos], rates[pos]
             k = 0
@@ -526,13 +524,13 @@ class ExactEvaluator:
             assignment.pop(ix, None)
 
         enumerate_rec(0, {}, 0)
-        return QSeries(N, tuple(total))
+        return total
 
     def sum_sectioned(self, summand, index, r, s, idxenv=None) -> QSeries:
         """Sum over index = s, s+r, s+2r, ... by direct stride enumeration."""
         if r < 1 or not (0 <= s < r):
             raise ValueError("need r >= 1 and 0 <= s < r")
-        return self._eval_sum(index, s, r, summand, idxenv or {})
+        return self._eval_sum(index, s, r, summand, self._bind(idxenv))
 
 
 def eval_exact(e: Expr, env: ExactEnv) -> QSeries:
@@ -647,26 +645,26 @@ class NumericEvaluator:
         raise TypeError(f"unknown expression node {e!r}")
 
     def _ratio_prod(self, length, sym, h, omega: bool):
-        """omega: (q^h;q^h)_n / (q;q)_n;  stride: (q;q)_{h n} / (q^h;q^h)_n."""
-        qh = self._qbase(h)
-        products = self._products
+        """The quotient that qkernel's omega or stride collapse describes."""
         if length is INF:
-            num_ = products.inf(qh if omega else self.q, qh if omega else self.q)
-            den = products.inf(self.q if omega else qh, self.q if omega else qh)
+            n = None
         else:
-            n = self._poly(length, sym)
-            ni = num.near_int(n)
-            if ni is None or ni < 0:
+            n = num.near_int(self._poly(length, sym))
+            if n is None or n < 0:
                 raise NonIntegerExponent("product length must be a non-negative integer")
-            if omega:
-                num_ = products.finite(qh, qh, ni)
-                den = products.finite(self.q, self.q, ni)
-            else:
-                num_ = products.finite(self.q, self.q, h * ni)
-                den = products.finite(qh, qh, ni)
+        top, bottom = (omega_collapse if omega else stride_collapse)(n, h)
+        num_, den = self._collapse_factor(top), self._collapse_factor(bottom)
         if den == 0:
             raise DivisionByZeroProduct("product denominator vanished")
         return num.check_finite(num_ / den)
+
+    def _collapse_factor(self, triple):
+        """(q^a; q^b)_k for a collapse triple (a, b, k), k None for inf."""
+        a, b, k = triple
+        x, qbase = self._qbase(a), self._qbase(b)
+        if k is None:
+            return self._products.inf(x, qbase)
+        return self._products.finite(x, qbase, k)
 
     def _eval_sum(self, e: Sum, sym) -> mpc:
         def term(k):

@@ -29,6 +29,11 @@ class ValuationStall(QsvError):
     substitution outside the formal domain (e.g. a sum ratio with qpow 0)."""
 
 
+class TermCapExceeded(QsvError):
+    """An exact sum ran past its iteration safety cap (engine.MAX_EXACT_TERMS)
+    while its terms were still gaining q-valuation."""
+
+
 # -- numeric backend --------------------------------------------------------
 
 class ZeroBase(QsvError):

@@ -1,10 +1,15 @@
 """Exact scalar and truncated-series arithmetic.
 
-Coefficients are arbitrary-precision rationals (fractions.Fraction), so a
-verified identity is a proof of coefficient equality up to the truncation
-order.  A QSeries of order N stores exactly N coefficients and all
-operations truncate at the smallest order involved; no operation ever
-reports a coefficient at or beyond the truncation order.
+A QSeries holds integer numerators over one positive common denominator,
+gcd-normalised, so every kernel here (add, scale, shift, products,
+binomial steps, inversion, powers) runs in integer arithmetic and equal
+series have equal fields.  Rationals (fractions.Fraction) appear only at
+the boundary: scalar arguments, the `coeffs` view, and the QSeries
+constructor.  A verified identity is therefore a proof of coefficient
+equality up to the truncation order.  A QSeries of order N stores exactly
+N coefficients and all operations truncate at the smallest order
+involved; no operation ever reports a coefficient at or beyond the
+truncation order.
 """
 
 from __future__ import annotations
@@ -15,8 +20,7 @@ from fractions import Fraction
 
 from .errors import NegativeQPower, ZeroConstantTerm
 
-# All exact coefficients live in Q.  Fraction already maintains the
-# invariants we need (positive denominator, gcd-reduced after every op).
+# Scalars (parameter coefficients, binomial constants) live in Q.
 Rational = Fraction
 
 #: Default truncation order for catalog verification.
@@ -26,44 +30,89 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
 class QSeries:
-    """Truncated formal power series in q: sum of coeffs[i] * q^i, known
-    modulo q^order."""
+    """Truncated formal power series in q: sum of nums[i]/den * q^i,
+    known modulo q^order.  den > 0 and gcd(den, *nums) == 1."""
 
-    order: int
-    coeffs: tuple
+    __slots__ = ("order", "nums", "den")
 
-    def __post_init__(self):
-        if self.order < 0:
+    def __init__(self, order, coeffs):
+        """The series with the given rational coefficients."""
+        if order < 0:
             raise ValueError("order must be non-negative")
-        if len(self.coeffs) != self.order:
+        if len(coeffs) != order:
             raise ValueError("coeffs length must equal order")
+        coeffs = [Fraction(c) for c in coeffs]
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the result is already normalised
+        den = math.lcm(*(c.denominator for c in coeffs))
+        self.order = order
+        self.nums = tuple(c.numerator * (den // c.denominator) for c in coeffs)
+        self.den = den
+
+    @classmethod
+    def from_ints(cls, order, nums, den=1) -> "QSeries":
+        """The series sum of nums[i]/den * q^i (den != 0), normalised."""
+        nums = tuple(nums)
+        if len(nums) != order:
+            raise ValueError("nums length must equal order")
+        if den <= 0:
+            if den == 0:
+                raise ZeroDivisionError("QSeries denominator is zero")
+            den, nums = -den, tuple(-x for x in nums)
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = tuple(x // g for x in nums)
+        series = object.__new__(cls)
+        series.order = order
+        series.nums = nums
+        series.den = den
+        return series
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as Fractions, built on each read."""
+        den = self.den
+        return tuple(Fraction(x, den) for x in self.nums)
 
     def __getitem__(self, i):
-        return self.coeffs[i]
+        return Fraction(self.nums[i], self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, QSeries):
+            return NotImplemented
+        return (self.order == other.order and self.den == other.den
+                and self.nums == other.nums)
+
+    def __hash__(self):
+        return hash((self.order, self.nums, self.den))
+
+    def __repr__(self):
+        return f"QSeries(order={self.order}, nums={self.nums}, den={self.den})"
 
     def valuation(self):
         """Index of the lowest nonzero coefficient, or order if zero mod q^N."""
-        for i, c in enumerate(self.coeffs):
-            if c:
+        for i, x in enumerate(self.nums):
+            if x:
                 return i
         return self.order
 
     def is_zero(self):
-        return all(c == 0 for c in self.coeffs)
+        return not any(self.nums)
 
     def truncate(self, order):
         if order >= self.order:
             return self
-        return QSeries(order, self.coeffs[:order])
+        return QSeries.from_ints(order, self.nums[:order], self.den)
 
     def eval_at(self, x):
         """Numeric value of the truncated polynomial at x (Horner)."""
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * x + (c.numerator / c.denominator if isinstance(x, float) else c)
-        return acc
+        for n in reversed(self.nums):
+            acc = acc * x + n
+        return acc / self.den if self.den != 1 else acc
 
     def __str__(self):
         parts = []
@@ -74,10 +123,7 @@ class QSeries:
 
 
 def series_const(c, order) -> QSeries:
-    coeffs = [_ZERO] * order
-    if order > 0:
-        coeffs[0] = Fraction(c)
-    return QSeries(order, tuple(coeffs))
+    return series_monomial(c, 0, order)
 
 
 def series_one(order) -> QSeries:
@@ -85,50 +131,49 @@ def series_one(order) -> QSeries:
 
 
 def series_zero(order) -> QSeries:
-    return QSeries(order, (_ZERO,) * order)
+    return QSeries.from_ints(order, (0,) * order)
 
 
 def series_monomial(c, m, order) -> QSeries:
     """c * q^m truncated at order."""
     if m < 0:
         raise NegativeQPower(f"monomial with negative q-power {m}")
-    coeffs = [_ZERO] * order
+    c = Fraction(c)
+    nums = [0] * order
     if m < order:
-        coeffs[m] = Fraction(c)
-    return QSeries(order, tuple(coeffs))
+        nums[m] = c.numerator
+    return QSeries.from_ints(order, nums, c.denominator)
 
 
 def series_add(f: QSeries, g: QSeries) -> QSeries:
     n = min(f.order, g.order)
-    return QSeries(n, tuple(f.coeffs[i] + g.coeffs[i] for i in range(n)))
+    a, b = f.nums[:n], g.nums[:n]
+    if f.den == g.den:
+        return QSeries.from_ints(n, [x + y for x, y in zip(a, b)], f.den)
+    den = math.lcm(f.den, g.den)
+    sa, sb = den // f.den, den // g.den
+    return QSeries.from_ints(n, [x * sa + y * sb for x, y in zip(a, b)], den)
 
 
 def series_scale(f: QSeries, c) -> QSeries:
     c = Fraction(c)
-    return QSeries(f.order, tuple(c * x for x in f.coeffs))
+    p = c.numerator
+    return QSeries.from_ints(f.order, [p * x for x in f.nums], c.denominator * f.den)
 
 
-def series_shift(f: QSeries, c, m) -> QSeries:
-    """Multiply by the monomial c * q^m (m >= 0)."""
+def series_shift(f: QSeries, c, m, order=None) -> QSeries:
+    """Multiply by the monomial c * q^m (m >= 0), truncated at order
+    (default f.order).  f is known modulo q^f.order, so the product is
+    known modulo q^(f.order + m), the largest order allowed."""
     if m < 0:
         raise NegativeQPower(f"shift by negative q-power {m}")
+    n = f.order if order is None else order
+    if n > f.order + m:
+        raise ValueError(f"order {n} exceeds the known order {f.order + m}")
     c = Fraction(c)
-    n = f.order
-    out = [_ZERO] * n
-    for i in range(min(n - m, n) if m < n else 0):
-        if f.coeffs[i]:
-            out[i + m] = c * f.coeffs[i]
-    return QSeries(n, tuple(out))
-
-
-def _to_int_coeffs(coeffs):
-    """Scale Fraction coefficients to integers over one common denominator."""
-    den = 1
-    for c in coeffs:
-        d = c.denominator
-        if d != 1:
-            den = den * d // math.gcd(den, d)
-    return [c.numerator * (den // c.denominator) for c in coeffs], den
+    p = c.numerator
+    nums = [0] * min(m, n) + [p * x for x in f.nums[:max(n - m, 0)]]
+    return QSeries.from_ints(n, nums, c.denominator * f.den)
 
 
 def _int_convolve(a, b, n):
@@ -147,63 +192,72 @@ def _int_convolve(a, b, n):
 
 
 def series_mul(f: QSeries, g: QSeries) -> QSeries:
-    """Cauchy product truncated at min(f.order, g.order).
-
-    Runs the convolution over integers (coefficients scaled by a common
-    denominator) -- far cheaper than Fraction arithmetic, which reduces
-    by gcd on every operation.
-    """
+    """Cauchy product truncated at min(f.order, g.order): one integer
+    convolution of the numerators over the product of the denominators."""
     n = min(f.order, g.order)
-    fi, df = _to_int_coeffs(f.coeffs[:n])
-    gi, dg = _to_int_coeffs(g.coeffs[:n])
-    den = df * dg
-    return QSeries(n, tuple(Fraction(v, den) for v in _int_convolve(fi, gi, n)))
+    return QSeries.from_ints(n, _int_convolve(f.nums, g.nums, n), f.den * g.den)
 
 
 def series_mul_binomial(f: QSeries, c, e) -> QSeries:
-    """f * (1 + c*q^e) in O(N) coefficient operations."""
+    """f * (1 + c*q^e) in O(N) coefficient operations.  With c = p/d the
+    numerators become d*a[i] + p*a[i-e] over the denominator d*den."""
     if e < 0:
         raise NegativeQPower(f"binomial factor with negative q-power {e}")
-    n = f.order
     c = Fraction(c)
-    out = list(f.coeffs)
-    if c and e > 0:
-        for i in range(n - 1, e - 1, -1):
-            if f.coeffs[i - e]:
-                out[i] += c * f.coeffs[i - e]
-    elif c:
-        for i in range(n):
-            out[i] += c * f.coeffs[i]
-    return QSeries(n, tuple(out))
+    if e == 0:
+        return series_scale(f, 1 + c)
+    p, d = c.numerator, c.denominator
+    a = f.nums
+    out = list(a) if d == 1 else [d * x for x in a]
+    if p:
+        for i in range(e, f.order):
+            x = a[i - e]
+            if x:
+                out[i] += p * x
+    return QSeries.from_ints(f.order, out, d * f.den)
 
 
 def series_div_binomial(f: QSeries, c, e) -> QSeries:
-    """f / (1 + c*q^e) in O(N) coefficient operations (e >= 1)."""
+    """f / (1 + c*q^e) in O(N) coefficient operations (e >= 1).
+
+    The quotient g satisfies g[i] = a[i] - c*g[i-e].  With c = p/d the
+    integers H[i] = d^k * g[i], k = i // e, satisfy
+    H[i] = d^k * a[i] - p*H[i-e], and g[i] = H[i] * d^(K-k) / d^K over the
+    largest k = K."""
     if e <= 0:
         raise ValueError("series_div_binomial requires e >= 1")
-    n = f.order
     c = Fraction(c)
-    out = list(f.coeffs)
+    p, d = c.numerator, c.denominator
+    n = f.order
+    out = list(f.nums)
+    if d == 1:
+        for i in range(e, n):
+            x = out[i - e]
+            if x:
+                out[i] -= p * x
+        return QSeries.from_ints(n, out, f.den)
+    top = max((n - 1) // e, 0)
+    powers = [1]
+    for _ in range(top):
+        powers.append(powers[-1] * d)
     for i in range(e, n):
-        if out[i - e]:
-            out[i] -= c * out[i - e]
-    return QSeries(n, tuple(out))
+        out[i] = powers[i // e] * out[i] - p * out[i - e]
+    out = [x * powers[top - i // e] for i, x in enumerate(out)]
+    return QSeries.from_ints(n, out, f.den * powers[top])
 
 
 def series_mul_many(factors) -> QSeries:
-    """Product of several series, accumulated in integer space: one
-    common-denominator conversion per factor and a single Fraction
-    rebuild at the end."""
+    """Product of several series: the numerators are convolved in turn
+    and the denominators multiplied, with one normalisation at the end."""
     factors = list(factors)
     if not factors:
         raise ValueError("empty product")
     n = min(f.order for f in factors)
-    acc, den = _to_int_coeffs(factors[0].coeffs[:n])
+    acc, den = factors[0].nums[:n], factors[0].den
     for f in factors[1:]:
-        gi, dg = _to_int_coeffs(f.coeffs[:n])
-        acc = _int_convolve(acc, gi, n)
-        den *= dg
-    return QSeries(n, tuple(Fraction(v, den) for v in acc))
+        acc = _int_convolve(acc, f.nums, n)
+        den *= f.den
+    return QSeries.from_ints(n, acc, den)
 
 
 def series_inv(f: QSeries) -> QSeries:
@@ -212,17 +266,17 @@ def series_inv(f: QSeries) -> QSeries:
     n = f.order
     if n == 0:
         return f
-    if f.coeffs[0] == 0:
+    if f.nums[0] == 0:
         raise ZeroConstantTerm("cannot invert a series with zero constant term")
-    g = QSeries(1, (1 / f.coeffs[0],))
+    g = QSeries.from_ints(1, (f.den,), f.nums[0])
     prec = 1
     while prec < n:
         prec = min(2 * prec, n)
-        fp = f.truncate(prec)
-        gp = QSeries(prec, g.coeffs + (_ZERO,) * (prec - g.order))
-        fg = series_mul(fp, gp)
-        two_minus = QSeries(prec, tuple(
-            (2 - c if i == 0 else -c) for i, c in enumerate(fg.coeffs)))
+        gp = QSeries.from_ints(prec, g.nums + (0,) * (prec - g.order), g.den)
+        fg = series_mul(f.truncate(prec), gp)
+        two_minus = QSeries.from_ints(
+            prec, (2 * fg.den - fg.nums[0],) + tuple(-x for x in fg.nums[1:]),
+            fg.den)
         g = series_mul(gp, two_minus)
     return g
 
@@ -246,13 +300,14 @@ def series_section(f: QSeries, r: int, s: int) -> QSeries:
     exponents unchanged.  (f_even = series_section(f, 2, 0), etc.)"""
     if r < 1 or not (0 <= s < r):
         raise ValueError("need r >= 1 and 0 <= s < r")
-    out = [c if i % r == s % r else _ZERO for i, c in enumerate(f.coeffs)]
-    return QSeries(f.order, tuple(out))
+    out = [x if i % r == s else 0 for i, x in enumerate(f.nums)]
+    return QSeries.from_ints(f.order, out, f.den)
 
 
 def series_subs_neg_q(f: QSeries) -> QSeries:
     """f(-q): negate coefficients of odd powers."""
-    return QSeries(f.order, tuple(-c if i & 1 else c for i, c in enumerate(f.coeffs)))
+    return QSeries.from_ints(f.order, [-x if i & 1 else x for i, x in enumerate(f.nums)],
+                             f.den)
 
 
 @dataclass(frozen=True)
@@ -263,7 +318,8 @@ class ParamValue:
     qpow: int
 
     def __post_init__(self):
-        object.__setattr__(self, "coeff", Fraction(self.coeff))
+        if type(self.coeff) is not Fraction:
+            object.__setattr__(self, "coeff", Fraction(self.coeff))
         if self.qpow < 0:
             raise NegativeQPower(f"parameter value with qpow {self.qpow}")
 

@@ -11,6 +11,7 @@ an integer).
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .errors import NonIntegerExponent, UnknownName
@@ -22,10 +23,11 @@ _EMPTY = ()
 
 
 class IntPoly:
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_compiled")
 
     def __init__(self, terms=None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
+        self._compiled = None  # (den, ((int coeff, monomial), ...)), see eval_int
 
     # -- constructors -------------------------------------------------------
 
@@ -155,12 +157,26 @@ class IntPoly:
         return total
 
     def eval_int(self, env: dict) -> int:
-        """Exact-backend evaluation; must produce an integer."""
-        v = self.eval(env)
-        v = Fraction(v)
-        if v.denominator != 1:
-            raise NonIntegerExponent(f"exponent {self} evaluated to {v}")
-        return int(v)
+        """Exact-backend evaluation; must produce an integer.  The first
+        call compiles the polynomial to integer coefficients over one
+        common denominator, so integer inputs cost integer arithmetic only."""
+        compiled = self._compiled
+        if compiled is None:
+            den = math.lcm(*(c.denominator for c in self.terms.values()))
+            compiled = self._compiled = (den, tuple(
+                (c.numerator * (den // c.denominator), m)
+                for m, c in self.terms.items()))
+        den, terms = compiled
+        total = 0
+        for c, m in terms:
+            for s, p in m:
+                if s not in env:
+                    raise UnknownName(f"unbound exponent symbol {s!r}")
+                c *= env[s] if p == 1 else env[s] ** p
+            total += c
+        if total % den:
+            raise NonIntegerExponent(f"exponent {self} evaluated to {Fraction(total, den)}")
+        return total // den
 
     # -- canonical key / rendering --------------------------------------------
 

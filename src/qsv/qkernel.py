@@ -20,6 +20,7 @@ from .exact import (
     series_mul,
     series_mul_binomial,
     series_one,
+    series_scale,
 )
 
 # Incremental caches: building (x;q^h)_{k+1} from (x;q^h)_k makes the sum
@@ -30,7 +31,7 @@ _finite_cache: dict = {}
 _finite_inv_cache: dict = {}
 _infinite_cache: dict = {}
 
-_Q = ParamValue(Fraction(1), 1)
+_ONE = Fraction(1)
 
 
 def _check_shape(h: int, k: int = 0):
@@ -93,7 +94,7 @@ def poch_finite_inv(x: ParamValue, h: int, k: int, order: int) -> QSeries:
             entry[k] = series
             return series
         if e == 0:
-            series = QSeries(order, tuple(c / (1 - x.coeff) for c in series.coeffs))
+            series = series_scale(series, 1 / (1 - x.coeff))
         else:
             series = series_div_binomial(series, -x.coeff, e)
         entry[i + 1] = series
@@ -168,12 +169,27 @@ def poch_stride_product(a: ParamValue, r: int, k: int, h_inner: int, order: int)
     return out
 
 
+def omega_collapse(j, h: int):
+    """The primitive-root product (q*w, q*w^2, ..., q*w^{h-1}; q)_j, w a
+    primitive h-th root of unity, equals (q^h;q^h)_j / (q;q)_j.  Returned
+    as (top, bottom) Pochhammer triples (argument q-power, base exponent,
+    length); a length of None means inf."""
+    return (h, h, j), (1, 1, j)
+
+
+def stride_collapse(j, h: int):
+    """(q, q^2, ..., q^{h-1}; q^h)_j equals (q;q)_{hj} / (q^h;q^h)_j (for
+    j = inf, (q;q)_inf / (q^h;q^h)_inf); triples as in omega_collapse."""
+    return (1, 1, None if j is None else h * j), (h, h, j)
+
+
 def _poch_quotient(top, bottom, order: int, inverse: bool) -> QSeries:
-    """(x; q^h)_k / (y; q^g)_m for top = (x, h, k) and bottom = (y, g, m),
-    or its reciprocal when inverse; a length of None means inf."""
+    """The quotient of two collapse triples, or its reciprocal when
+    inverse."""
     if inverse:
         top, bottom = bottom, top
-    (x, h, k), (y, g, m) = top, bottom
+    (xp, h, k), (yp, g, m) = top, bottom
+    x, y = ParamValue(_ONE, xp), ParamValue(_ONE, yp)
     num = poch_infinite(x, h, order) if k is None else poch_finite(x, h, k, order)
     den_inv = (poch_infinite_inv(y, g, order) if m is None
                else poch_finite_inv(y, g, m, order))
@@ -181,26 +197,21 @@ def _poch_quotient(top, bottom, order: int, inverse: bool) -> QSeries:
 
 
 def omega_product_collapse(j, h: int, order: int, inverse: bool = False) -> QSeries:
-    """The primitive-root product (q*w, q*w^2, ..., q*w^{h-1}; q)_j for
-    w a primitive h-th root of unity, represented exactly over Q as
-    (q^h;q^h)_j / (q;q)_j, or its reciprocal when inverse.  For j = inf
-    pass j=None."""
+    """omega_collapse(j, h) over the exact backend, or its reciprocal when
+    inverse.  For j = inf pass j=None."""
     _check_shape(h, j or 0)
     if h == 1:
         return series_one(order)
-    return _poch_quotient((ParamValue(Fraction(1), h), h, j), (_Q, 1, j),
-                          order, inverse)
+    return _poch_quotient(*omega_collapse(j, h), order, inverse)
 
 
 def stride_base_product(j, h: int, order: int, inverse: bool = False) -> QSeries:
-    """(q, q^2, ..., q^{h-1}; q^h)_j represented as (q;q)_{hj} / (q^h;q^h)_j
-    (for j = inf, as (q;q)_inf / (q^h;q^h)_inf), or its reciprocal when
+    """stride_collapse(j, h) over the exact backend, or its reciprocal when
     inverse.  Empty product for h=1."""
     _check_shape(h, j or 0)
     if h == 1:
         return series_one(order)
-    return _poch_quotient((_Q, 1, None if j is None else h * j),
-                          (ParamValue(Fraction(1), h), h, j), order, inverse)
+    return _poch_quotient(*stride_collapse(j, h), order, inverse)
 
 
 class ThetaKind(Enum):
@@ -214,7 +225,7 @@ def theta_series(kind: ThetaKind, order: int) -> QSeries:
     psi(q) = sum_{k>=0} q^{k(k+1)/2}; phi(-q) = 1 + 2*sum_{k>=1} (-1)^k q^{k^2}
     (the bilateral sum folded to a unilateral one).
     """
-    coeffs = [Fraction(0)] * order
+    coeffs = [0] * order
     if kind is ThetaKind.PSI:
         k = 0
         while k * (k + 1) // 2 < order:
@@ -222,14 +233,14 @@ def theta_series(kind: ThetaKind, order: int) -> QSeries:
             k += 1
     elif kind is ThetaKind.PHI_MINUS:
         if order > 0:
-            coeffs[0] = Fraction(1)
+            coeffs[0] = 1
         k = 1
         while k * k < order:
             coeffs[k * k] += 2 * (-1) ** k
             k += 1
     else:
         raise ValueError(f"unknown theta kind {kind}")
-    return QSeries(order, tuple(coeffs))
+    return QSeries.from_ints(order, coeffs)
 
 
 def theta_product(kind: ThetaKind, order: int) -> QSeries:

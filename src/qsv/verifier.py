@@ -158,11 +158,14 @@ def _param_assignments(record: IdentityRecord):
 
 def exact_constraints_ok(record: IdentityRecord, env: ExactEnv) -> bool:
     """Formal reading of |expr| < bound: a monomial c*q^m with m >= 1 is
-    q-adically small; for m = 0 the coefficient must satisfy the bound."""
+    q-adically small; for m = 0 the coefficient must satisfy the bound.
+    A bound <= 0 holds for no value at all."""
     ev = ExactEvaluator(env)
     for constraint in record.constraints:
+        if constraint.bound <= 0:
+            return False
         try:
-            m = ev.monomial(constraint.expr, {})
+            m = ev.monomial(constraint.expr, env.exps)
         except QsvError:
             return False
         if m is None:

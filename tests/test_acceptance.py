@@ -5,6 +5,7 @@ Criteria, tolerances, and orders are pinned here; nothing is deferred to
 later calibration.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -261,3 +262,24 @@ def test_criterion_12_determinism(tmp_path, capsys):
     ok = docs[0] == docs[1]
     announce(12, ok, "consecutive catalog sweeps emit identical reports "
                      "modulo wall_ms")
+
+
+#: SHA-256 of the order-32 exact ``check-all --report`` document of the
+#: shipped catalog, with every ``wall_ms`` set to 0
+EXACT_REPORT_SHA256 = "58c854ea4b52fbd66a8a43a315a8495fe155645241350e42a4d3d12f99be22d3"
+
+
+def test_exact_report_digest_is_pinned(tmp_path, capsys):
+    """The exact sweep's report is byte-identical from change to change.
+    The pinned digest changes only when the catalog does: the grids, the
+    verdicts and the coefficient digests are all fixed by its records."""
+    path = tmp_path / "report.json"
+    code = cli_main(["check-all", "--backend", "exact", "--order", "32",
+                     "--report", str(path)])
+    capsys.readouterr()
+    assert code == 0
+    doc = json.loads(path.read_text())
+    for entry in doc["results"]:
+        entry["wall_ms"] = 0
+    digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+    assert digest == EXACT_REPORT_SHA256

@@ -120,11 +120,12 @@ identity never {
   rhs = z;
 }
 """)
-    code, out, _ = run(capsys, *command, "--backend", "numeric",
-                       "--catalog", str(catalog))
-    assert code == 3
-    assert "never" in out and "(no admissible grid point)" in out
-    assert "summary: 0 pass, 0 mismatch, 1 error" in out
+    for backend in ("numeric", "exact"):
+        code, out, _ = run(capsys, *command, "--backend", backend,
+                           "--catalog", str(catalog))
+        assert code == 3
+        assert "never" in out and "(no admissible grid point)" in out
+        assert "summary: 0 pass, 0 mismatch, 1 error" in out
 
 
 def test_check_all_filtered(capsys, tmp_path):

@@ -1,5 +1,6 @@
 """Exact scalar/series arithmetic against independent oracles."""
 
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -20,6 +21,7 @@ from qsv.exact import (
     series_mul_many,
     series_one,
     series_pow,
+    series_scale,
     series_section,
     series_shift,
     series_subs_neg_q,
@@ -152,6 +154,83 @@ def test_section_and_neg_q():
     even = series_section(f, 2, 0)
     averaged = series_add(f, series_subs_neg_q(f))
     assert averaged == qs([2 * c for c in even.coeffs])
+
+
+# -- integer kernels against plain-Fraction reference loops ---------------------
+
+KERNEL_ORDERS = (0, 1, 17, 64)
+
+
+def random_coeffs(order, seed, nonzero_head=False):
+    rng = random.Random(seed)
+    out = [F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(order)]
+    if nonzero_head and order:
+        out[0] = F(rng.choice([-3, -1, 1, 2]), rng.randint(1, 4))
+    return out
+
+
+def ref_mul_binomial(a, c, e):
+    return [x + (c * a[i - e] if i >= e else 0) for i, x in enumerate(a)]
+
+
+def ref_div_binomial(a, c, e):
+    out = list(a)
+    for i in range(e, len(out)):
+        out[i] -= c * out[i - e]
+    return out
+
+
+def ref_inv(a):
+    out = []
+    for i in range(len(a)):
+        acc = F(1) if i == 0 else F(0)
+        acc -= sum(a[j] * out[i - j] for j in range(1, i + 1))
+        out.append(acc / a[0])
+    return out
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+@pytest.mark.parametrize("c", [F(1), F(-1), F(1, 2), F(-2, 3), F(2)])
+def test_binomial_steps_match_reference(c, order):
+    a = random_coeffs(order, seed=order)
+    for e in range(1, 6):
+        got = series_mul_binomial(qs(a, order), c, e)
+        assert got.coeffs == tuple(ref_mul_binomial(a, c, e))
+        got = series_div_binomial(qs(a, order), c, e)
+        assert got.coeffs == tuple(ref_div_binomial(a, c, e))
+
+
+@pytest.mark.parametrize("order", KERNEL_ORDERS)
+def test_integer_kernels_match_reference(order):
+    a, b = random_coeffs(order, 1), random_coeffs(order, 2)
+    f, g = qs(a, order), qs(b, order)
+    assert series_add(f, g).coeffs == tuple(x + y for x, y in zip(a, b))
+    assert series_scale(f, F(-3, 4)).coeffs == tuple(F(-3, 4) * x for x in a)
+    for m in (0, 1, 5, order + 2):
+        want = ([F(0)] * m + [F(2, 3) * x for x in a])[:order]
+        assert series_shift(f, F(2, 3), m).coeffs == tuple(want)
+    assert series_mul(f, g).coeffs == tuple(naive_poly_mul(a, b, order))
+    h = random_coeffs(order, 3, nonzero_head=True)
+    assert series_inv(qs(h, order)).coeffs == tuple(ref_inv(h))
+
+
+def test_series_are_normalised():
+    f = qs([F(1, 2), F(-1, 3), 0, 4], 4)
+    assert (f.nums, f.den) == ((3, -2, 0, 24), 6)
+    doubled = QSeries.from_ints(4, [2 * x for x in f.nums], 2 * f.den)
+    assert doubled == f and hash(doubled) == hash(f)
+    negated = QSeries.from_ints(4, [-x for x in f.nums], -f.den)
+    assert negated == f and hash(negated) == hash(f)
+    for zero in (series_zero(5), series_add(f, series_scale(f, -1)),
+                 QSeries.from_ints(3, [0, 0, 0], 7), series_zero(0)):
+        assert zero.den == 1 and zero.is_zero()
+
+
+def test_shift_to_a_larger_order():
+    f = qs([1, 2], 2)
+    assert series_shift(f, 3, 2, order=4) == qs([0, 0, 3, 6])
+    with pytest.raises(ValueError):
+        series_shift(f, 1, 2, order=5)
 
 
 # -- property tests ------------------------------------------------------------

@@ -53,6 +53,13 @@ def test_exact_constraint_filter():
     env_bad = ExactEnv(order=8, params={"a": pv(2, 1), "b": pv(1, 1)})
     assert exact_constraints_ok(record, env_ok)
     assert not exact_constraints_ok(record, env_bad)
+    Constraint = __import__("qsv.dsl", fromlist=["Constraint"]).Constraint
+    # exponent symbols are bound when a constraint is read
+    record.constraints = (Constraint(parse_expr("q^(h*t)"), F(1)),)
+    assert exact_constraints_ok(record, ExactEnv(order=8, exps={"h": 1, "t": 2}))
+    # |x| < 0 holds for no x, however small its q-adic size
+    record.constraints = (Constraint(parse_expr("a"), F(0)),)
+    assert not exact_constraints_ok(record, env_ok)
 
 
 def test_numeric_grid_constraints(catalog_records):
@@ -113,6 +120,17 @@ def test_verify_error_status(catalog):
     report = verify(record, point, order=16)
     assert report.status == "error"
     assert "ValuationStall" in report.error
+
+
+def test_verify_term_cap_error(catalog, monkeypatch):
+    import qsv.engine
+
+    # the sum needs about 16 terms at order 16; a cap of 3 stops it
+    monkeypatch.setattr(qsv.engine, "MAX_EXACT_TERMS", 3)
+    point = GridPoint({"a": pv(1, 1), "z": pv(1, 1)}, {})
+    report = verify(catalog["q-bin"], point, order=16)
+    assert report.status == "error"
+    assert report.error.startswith("TermCapExceeded: ")
 
 
 def test_verify_numeric_constraint_violation(catalog):
