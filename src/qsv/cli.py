@@ -291,11 +291,10 @@ def build_parser() -> argparse.ArgumentParser:
         description="verify q-series transformation identities")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, catalog=True):
+    def common(p, catalog=True, backends=("exact", "numeric", "both")):
         p.add_argument("--order", type=int, default=DEFAULT_ORDER,
                        help="truncation order for the exact backend")
-        p.add_argument("--backend", choices=("exact", "numeric", "both"),
-                       default="exact")
+        p.add_argument("--backend", choices=backends, default="exact")
         p.add_argument("--tolerance", type=float, default=num.IDENTITY_TOL,
                        help="relative tolerance for the numeric backend")
         if catalog:
@@ -322,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="evaluate an expression")
     p_eval.add_argument("expr")
-    common(p_eval, catalog=False)
+    common(p_eval, catalog=False, backends=("exact", "numeric"))
     p_eval.add_argument("--subst", help="bindings k=v[,k=v...]")
     p_eval.set_defaults(fn=cmd_eval)
 

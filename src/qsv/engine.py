@@ -83,6 +83,9 @@ from .qkernel import (
 #: consecutive skipped terms (valuation bound >= order) before a sum stops
 STOP_RUN = 4
 
+#: terms without a rise in q-valuation before a sum raises ValuationStall
+STALL_LIMIT = 1000
+
 #: iteration safety cap for exact sums
 MAX_EXACT_TERMS = 200_000
 
@@ -94,7 +97,6 @@ class ExactEnv:
     order: int = DEFAULT_ORDER
     params: dict = field(default_factory=dict)  # name -> ParamValue
     exps: dict = field(default_factory=dict)    # name -> positive int
-    stall_limit: int = 1000
 
     def __post_init__(self):
         for name, value in self.exps.items():
@@ -425,11 +427,10 @@ class ExactEvaluator:
         anything; a bound that never rises within the stall window means
         the substitution is outside the formal domain."""
         N = self.order
-        limit = self.env.stall_limit
         floor = None
         stalled = 0
         idx = start
-        for _ in range(limit + 1):
+        for _ in range(STALL_LIMIT + 1):
             lb = self.val_lb(summand, {**idxenv, index: idx})
             if lb >= N:
                 return
@@ -438,7 +439,7 @@ class ExactEvaluator:
                 stalled = 0
             else:
                 stalled += 1
-                if stalled >= limit:
+                if stalled >= STALL_LIMIT:
                     raise ValuationStall(
                         f"terms of the sum over {index!r} stopped gaining "
                         f"q-valuation (bound stuck at {floor})"
@@ -477,7 +478,7 @@ class ExactEvaluator:
                 stall = 0
             else:
                 stall += 1
-                if stall >= self.env.stall_limit:
+                if stall >= STALL_LIMIT:
                     raise ValuationStall(
                         f"terms of the sum over {index!r} stopped gaining "
                         f"q-valuation at {vmax}"
@@ -690,12 +691,7 @@ class NumericEvaluator:
     def sum_sectioned(self, summand, index, r, s, idxenv=None) -> mpc:
         if r < 1 or not (0 <= s < r):
             raise ValueError("need r >= 1 and 0 <= s < r")
-        sym = self._bind(idxenv)
-
-        def term(k):
-            return self._eval(summand, {**sym, index: s + r * k})
-
-        return num.sum_with_tail_bound(term, self.tol)
+        return self._eval_sum(Sum(index, s, r, summand), self._bind(idxenv))
 
     def sum_sectioned_roots(self, summand, index, r, s, idxenv=None) -> mpc:
         """Root-of-unity averaging route for the sectioned sum: average the

@@ -12,6 +12,7 @@ attempted.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -68,7 +69,7 @@ class Poch(Expr):
 
     arg: Expr
     base: IntPoly
-    length: object  # IntPoly | Inf
+    length: IntPoly | Inf
 
 
 @dataclass(frozen=True)
@@ -77,7 +78,7 @@ class OmegaProd(Expr):
     of unity; rational-coefficient value (q^h;q^h)_len / (q;q)_len."""
 
     h: IntPoly
-    length: object
+    length: IntPoly | Inf
 
 
 @dataclass(frozen=True)
@@ -85,7 +86,7 @@ class StrideProd(Expr):
     """(q, q^2, ..., q^{h-1}; q^h)_length = (q;q)_{h*len} / (q^h;q^h)_len."""
 
     h: IntPoly
-    length: object
+    length: IntPoly | Inf
 
 
 @dataclass(frozen=True)
@@ -165,6 +166,66 @@ def pv_expr(pv: ParamValue) -> Expr:
 
 
 # ---------------------------------------------------------------------------
+# node fields
+# ---------------------------------------------------------------------------
+#
+# Each node field is one of three kinds, read off its annotation: an Expr
+# is a sub-expression, an IntPoly (or a length, which may also be INF) is
+# an exponent polynomial, and anything else is plain data.  The generic
+# walks below (free names, substitution, children) read this table.
+
+EXPR, POLY, DATA = "expr", "poly", "data"
+
+_KIND_OF_ANNOTATION = {"Expr": EXPR, "IntPoly": POLY, "IntPoly | Inf": POLY}
+
+#: node class -> ((field name, kind), ...) in declaration order
+FIELDS = {
+    cls: tuple((f.name, _KIND_OF_ANNOTATION.get(f.type, DATA))
+               for f in dataclasses.fields(cls))
+    for cls in Expr.__subclasses__()
+}
+
+
+def _node_fields(node) -> tuple:
+    """((field name, kind), ...) of node's class; TypeError for a non-node."""
+    try:
+        return FIELDS[type(node)]
+    except KeyError:
+        raise TypeError(f"unknown expression node {node!r}") from None
+
+
+def _bound_indices(node) -> tuple:
+    """The summation indices a node binds around its summand."""
+    if type(node) is Sum:
+        return (node.index,)
+    if type(node) is MultiSum:
+        return node.indices
+    return ()
+
+
+def child_fields(e: Expr) -> tuple:
+    """(field name, sub-expression) for each sub-expression directly under
+    e, in declaration order."""
+    return tuple((name, getattr(e, name))
+                 for name, kind in _node_fields(e) if kind == EXPR)
+
+
+def children(e: Expr) -> tuple:
+    """The sub-expressions directly under e (exponent polynomials and
+    lengths are IntPoly values, not sub-expressions)."""
+    return tuple(child for _, child in child_fields(e))
+
+
+def walk(e: Expr, bound: frozenset = frozenset()):
+    """Every node of e in pre-order, each paired with the summation
+    indices bound by the sums around it."""
+    yield e, bound
+    bound = bound.union(_bound_indices(e))
+    for child in children(e):
+        yield from walk(child, bound)
+
+
+# ---------------------------------------------------------------------------
 # free names and substitution
 # ---------------------------------------------------------------------------
 
@@ -174,68 +235,22 @@ def free_names(e: Expr) -> set:
     (summation indices bound by enclosing sums are excluded)."""
     out = set()
 
-    def walk(node, bound):
-        if isinstance(node, Const):
-            return
-        if isinstance(node, Param):
+    def visit(node, bound):
+        if type(node) is Param:
             if node.name not in bound:
                 out.add(node.name)
-        elif isinstance(node, QPow):
-            out.update(node.exponent.symbols() - bound)
-        elif isinstance(node, Poch):
-            walk(node.arg, bound)
-            out.update(node.base.symbols() - bound)
-            if isinstance(node.length, IntPoly):
-                out.update(node.length.symbols() - bound)
-        elif isinstance(node, (OmegaProd, StrideProd)):
-            out.update(node.h.symbols() - bound)
-            if isinstance(node.length, IntPoly):
-                out.update(node.length.symbols() - bound)
-        elif isinstance(node, Theta):
             return
-        elif isinstance(node, Neg):
-            walk(node.arg, bound)
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            walk(node.left, bound)
-            walk(node.right, bound)
-        elif isinstance(node, Pow):
-            walk(node.base, bound)
-            out.update(node.exponent.symbols() - bound)
-        elif isinstance(node, Sum):
-            walk(node.summand, bound | {node.index})
-        elif isinstance(node, MultiSum):
-            walk(node.summand, bound | set(node.indices))
-        else:
-            raise TypeError(f"unknown expression node {node!r}")
+        for ix in _bound_indices(node):
+            bound = bound | {ix}
+        for name, kind in _node_fields(node):
+            value = getattr(node, name)
+            if kind == EXPR:
+                visit(value, bound)
+            elif kind == POLY and value is not INF:
+                out.update(value.symbols() - bound)
 
-    walk(e, set())
+    visit(e, frozenset())
     return out
-
-
-def children(e: Expr) -> tuple:
-    """The sub-expressions directly under e (exponent polynomials and
-    lengths are IntPoly values, not sub-expressions)."""
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return (e.left, e.right)
-    if isinstance(e, (Neg, Poch)):
-        return (e.arg,)
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, (Sum, MultiSum)):
-        return (e.summand,)
-    return ()
-
-
-def walk(e: Expr, bound: frozenset = frozenset()):
-    """Every node of e in pre-order, each paired with the summation
-    indices bound by the sums around it."""
-    yield e, bound
-    if isinstance(e, Sum):
-        bound = bound | {e.index}
-    elif isinstance(e, MultiSum):
-        bound = bound | set(e.indices)
-    for child in children(e):
-        yield from walk(child, bound)
 
 
 def param_names(e: Expr) -> set:
@@ -293,13 +308,8 @@ def substitute(e: Expr, sub: dict, *, check_names: bool = True) -> Expr:
                 )
         return p.subst(env) if env else p
 
-    def sub_len(length, bound):
-        return sub_poly(length, bound) if isinstance(length, IntPoly) else length
-
-    def walk(node, bound):
-        if isinstance(node, Const):
-            return node
-        if isinstance(node, Param):
+    def rebuild(node, bound):
+        if type(node) is Param:
             if node.name in bound or node.name not in expr_env:
                 return node
             value = expr_env[node.name]
@@ -309,36 +319,21 @@ def substitute(e: Expr, sub: dict, *, check_names: bool = True) -> Expr:
                     f"substituting {node.name!r} would capture {sorted(captured)}"
                 )
             return value
-        if isinstance(node, QPow):
-            return QPow(sub_poly(node.exponent, bound))
-        if isinstance(node, Poch):
-            return Poch(walk(node.arg, bound), sub_poly(node.base, bound),
-                        sub_len(node.length, bound))
-        if isinstance(node, OmegaProd):
-            return OmegaProd(sub_poly(node.h, bound), sub_len(node.length, bound))
-        if isinstance(node, StrideProd):
-            return StrideProd(sub_poly(node.h, bound), sub_len(node.length, bound))
-        if isinstance(node, Theta):
-            return node
-        if isinstance(node, Neg):
-            return Neg(walk(node.arg, bound))
-        if isinstance(node, (Add, Sub, Mul, Div)):
-            return type(node)(walk(node.left, bound), walk(node.right, bound))
-        if isinstance(node, Pow):
-            return Pow(walk(node.base, bound), sub_poly(node.exponent, bound))
-        if isinstance(node, Sum):
-            if node.index in sub:
-                raise IndexShadowing(f"cannot substitute bound index {node.index!r}")
-            return Sum(node.index, node.start, node.stride,
-                       walk(node.summand, bound | {node.index}))
-        if isinstance(node, MultiSum):
-            for ix in node.indices:
-                if ix in sub:
-                    raise IndexShadowing(f"cannot substitute bound index {ix!r}")
-            return MultiSum(node.indices, walk(node.summand, bound | set(node.indices)))
-        raise TypeError(f"unknown expression node {node!r}")
+        for ix in _bound_indices(node):
+            if ix in sub:
+                raise IndexShadowing(f"cannot substitute bound index {ix!r}")
+            bound = bound | {ix}
+        args = []
+        for name, kind in _node_fields(node):
+            value = getattr(node, name)
+            if kind == EXPR:
+                value = rebuild(value, bound)
+            elif kind == POLY and value is not INF:
+                value = sub_poly(value, bound)
+            args.append(value)
+        return type(node)(*args)
 
-    return walk(e, set())
+    return rebuild(e, frozenset())
 
 
 # ---------------------------------------------------------------------------
@@ -894,26 +889,14 @@ def canon(e: Expr) -> CSum:
             return _make_term(Fraction(1), IntPoly(),
                               {AParam(node.name): IntPoly.const(1)})
         if isinstance(node, QPow):
-            return _cs_qpow(node.exponent.subst(binders_to_polys(binders)))
+            return _cs_qpow(ren(node.exponent, binders))
         if isinstance(node, Poch):
-            arg = walk(node.arg, binders, depth)
-            base = node.base.subst(binders_to_polys(binders))
-            length = node.length
-            if isinstance(length, IntPoly):
-                length = length.subst(binders_to_polys(binders))
-            return _canon_poch(arg, base, length)
+            return _canon_poch(walk(node.arg, binders, depth),
+                               ren(node.base, binders), ren(node.length, binders))
         if isinstance(node, OmegaProd):
-            h = node.h.subst(binders_to_polys(binders))
-            length = node.length
-            if isinstance(length, IntPoly):
-                length = length.subst(binders_to_polys(binders))
-            return _canon_omega(h, length)
+            return _canon_omega(ren(node.h, binders), ren(node.length, binders))
         if isinstance(node, StrideProd):
-            h = node.h.subst(binders_to_polys(binders))
-            length = node.length
-            if isinstance(length, IntPoly):
-                length = length.subst(binders_to_polys(binders))
-            return _canon_stride(h, length)
+            return _canon_stride(ren(node.h, binders), ren(node.length, binders))
         if isinstance(node, Theta):
             return _make_term(Fraction(1), IntPoly(),
                               {ATheta(node.kind): IntPoly.const(1)})
@@ -933,7 +916,7 @@ def canon(e: Expr) -> CSum:
                            _cs_inv(walk(node.right, binders, depth)))
         if isinstance(node, Pow):
             return _cs_pow(walk(node.base, binders, depth),
-                           node.exponent.subst(binders_to_polys(binders)))
+                           ren(node.exponent, binders))
         if isinstance(node, Sum):
             cname = f"i{depth}"
             inner = walk(node.summand, {**binders, node.index: cname}, depth + 1)
@@ -947,8 +930,11 @@ def canon(e: Expr) -> CSum:
             return _canon_multi_body(cnames, inner)
         raise TypeError(f"unknown expression node {node!r}")
 
-    def binders_to_polys(binders):
-        return {old: IntPoly.symbol(new) for old, new in binders.items()}
+    def ren(p, binders):
+        """p with bound indices renamed to their canonical names; INF kept."""
+        if p is INF:
+            return p
+        return p.subst({old: IntPoly.symbol(new) for old, new in binders.items()})
 
     return walk(e, {}, 0)
 

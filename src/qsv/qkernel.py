@@ -11,7 +11,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 
-from .errors import NonTruncatable
+from .errors import NonTruncatable, ZeroConstantTerm
 from .exact import (
     ParamValue,
     QSeries,
@@ -43,16 +43,15 @@ def _check_shape(h: int, k: int = 0):
         raise ValueError(f"Pochhammer length must be non-negative, got {k}")
 
 
-def poch_finite(x: ParamValue, h: int, k: int, order: int) -> QSeries:
-    """(x; q^h)_k = prod_{i=0}^{k-1} (1 - x*q^{h*i}) truncated at order."""
-    _check_shape(h, k)
-    if x.is_zero() or k == 0:
-        return series_one(order)
+def _finite_chain(x: ParamValue, h: int, k: int, order: int,
+                  inverse: bool) -> QSeries:
+    """(x; q^h)_k, or its inverse, grown from the longest cached prefix of
+    the factor chain; every prefix on the way is cached."""
+    cache = _finite_inv_cache if inverse else _finite_cache
     key = (x.coeff, x.qpow, h, order)
-    entry = _finite_cache.get(key)
+    entry = cache.get(key)
     if entry is None:
-        entry = {0: series_one(order)}
-        _finite_cache[key] = entry
+        entry = cache[key] = {0: series_one(order)}
     if k in entry:
         return entry[k]
     start = max(i for i in entry if i <= k)
@@ -61,12 +60,24 @@ def poch_finite(x: ParamValue, h: int, k: int, order: int) -> QSeries:
         e = x.qpow + h * i
         if e >= order:
             # every remaining factor is 1 mod q^order
-            series = entry[i + 1] = series
-            entry[k] = series
+            entry[i + 1] = entry[k] = series
             return series
-        series = series_mul_binomial(series, -x.coeff, e)
+        if not inverse:
+            series = series_mul_binomial(series, -x.coeff, e)
+        elif e == 0:
+            series = series_scale(series, 1 / (1 - x.coeff))
+        else:
+            series = series_div_binomial(series, -x.coeff, e)
         entry[i + 1] = series
     return series
+
+
+def poch_finite(x: ParamValue, h: int, k: int, order: int) -> QSeries:
+    """(x; q^h)_k = prod_{i=0}^{k-1} (1 - x*q^{h*i}) truncated at order."""
+    _check_shape(h, k)
+    if x.is_zero() or k == 0:
+        return series_one(order)
+    return _finite_chain(x, h, k, order, inverse=False)
 
 
 def poch_finite_inv(x: ParamValue, h: int, k: int, order: int) -> QSeries:
@@ -76,29 +87,8 @@ def poch_finite_inv(x: ParamValue, h: int, k: int, order: int) -> QSeries:
         return series_one(order)
     if x.qpow == 0 and x.coeff == 1:
         # first factor is (1 - 1) = 0
-        from .errors import ZeroConstantTerm
-
         raise ZeroConstantTerm("(x;q^h)_k with x = 1 vanishes")
-    key = (x.coeff, x.qpow, h, order)
-    entry = _finite_inv_cache.get(key)
-    if entry is None:
-        entry = {0: series_one(order)}
-        _finite_inv_cache[key] = entry
-    if k in entry:
-        return entry[k]
-    start = max(i for i in entry if i <= k)
-    series = entry[start]
-    for i in range(start, k):
-        e = x.qpow + h * i
-        if e >= order:
-            entry[k] = series
-            return series
-        if e == 0:
-            series = series_scale(series, 1 / (1 - x.coeff))
-        else:
-            series = series_div_binomial(series, -x.coeff, e)
-        entry[i + 1] = series
-    return series
+    return _finite_chain(x, h, k, order, inverse=True)
 
 
 def poch_infinite(x: ParamValue, h: int, order: int) -> QSeries:

@@ -9,20 +9,7 @@ settings.register_profile("ci", derandomize=True)
 settings.load_profile("ci")
 
 from qsv.dsl import parse_catalog
-from qsv.expr import (
-    Add,
-    Const,
-    Div,
-    Mul,
-    MultiSum,
-    Neg,
-    Param,
-    Poch,
-    Pow,
-    QPow,
-    Sub,
-    Sum,
-)
+from qsv.expr import INF, Const, Param, Poch, Pow, QPow, child_fields
 from qsv.intpoly import IntPoly
 from qsv.verifier import default_catalog_path
 
@@ -38,6 +25,21 @@ def catalog(catalog_records):
     return {r.id: r for r in catalog_records}
 
 
+#: node class -> the fault a site of that class takes
+SITE_KINDS = {QPow: "qpow", Pow: "pow", Poch: "len", Const: "const", Param: "param"}
+
+
+def site_kind(node):
+    """The fault kind node is a site of, or None: a Pochhammer symbol only
+    with a non-zero polynomial length, a constant only when non-zero."""
+    kind = SITE_KINDS.get(type(node))
+    if kind == "len" and (node.length is INF or node.length.is_zero()):
+        return None
+    if kind == "const" and node.value == 0:
+        return None
+    return kind
+
+
 def perturb_expr(expr, rng: random.Random):
     """Inject exactly one fault: a sign flip or an off-by-one exponent.
 
@@ -47,28 +49,11 @@ def perturb_expr(expr, rng: random.Random):
     sites = []
 
     def collect(node, path):
-        if isinstance(node, QPow):
-            sites.append((path, "qpow"))
-        elif isinstance(node, Pow):
-            sites.append((path, "pow"))
-            collect(node.base, path + ("base",))
-        elif isinstance(node, Poch):
-            if isinstance(node.length, IntPoly) and not node.length.is_zero():
-                sites.append((path, "len"))
-            collect(node.arg, path + ("arg",))
-        elif isinstance(node, Const) and node.value not in (0,):
-            sites.append((path, "const"))
-        elif isinstance(node, Neg):
-            collect(node.arg, path + ("arg",))
-        elif isinstance(node, (Add, Sub, Mul, Div)):
-            collect(node.left, path + ("left",))
-            collect(node.right, path + ("right",))
-        elif isinstance(node, Sum):
-            collect(node.summand, path + ("summand",))
-        elif isinstance(node, MultiSum):
-            collect(node.summand, path + ("summand",))
-        elif isinstance(node, Param):
-            sites.append((path, "param"))
+        kind = site_kind(node)
+        if kind is not None:
+            sites.append((path, kind))
+        for name, child in child_fields(node):
+            collect(child, path + (name,))
 
     collect(expr, ())
     if not sites:

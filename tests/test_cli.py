@@ -47,6 +47,13 @@ def test_eval_parse_error_exit_2(capsys):
     assert code == 2
 
 
+def test_eval_backend_both_is_usage_error(capsys):
+    code, out, err = run(capsys, "eval", "q + 1", "--backend", "both")
+    assert code == 2
+    assert out == ""
+    assert "invalid choice" in err
+
+
 def test_eval_numeric(capsys):
     code, out, _ = run(capsys, "eval", "psi()", "--backend", "numeric",
                        "--subst", "q=0.2")

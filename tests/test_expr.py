@@ -1,5 +1,6 @@
 """Parser, renderer, normalization, and substitution."""
 
+import dataclasses
 from fractions import Fraction as F
 
 import pytest
@@ -17,10 +18,12 @@ from qsv.errors import (
 )
 from qsv.exact import ParamValue
 from qsv.expr import (
+    FIELDS,
     INF,
     Add,
     Const,
     Div,
+    Expr,
     Mul,
     MultiSum,
     Neg,
@@ -31,6 +34,7 @@ from qsv.expr import (
     Sum,
     canon,
     canon_equal,
+    child_fields,
     free_names,
     normalize,
     substitute,
@@ -303,6 +307,67 @@ def test_substitute_index_shadowing():
 def test_substitute_exponent_symbol():
     e = substitute(parse_expr("poch(a; q^h)_(h*k+1)"), {"h": 2})
     assert e == parse_expr("poch(a; q^2)_(2*k+1)")
+
+
+# one expression per node kind: (text, free names, text after h = 2,
+# sub-expression fields of the root)
+NODE_KIND_CASES = [
+    ("a - b^h", {"a", "b", "h"}, "a - b^2", ("left", "right")),
+    ("psi()", set(), "psi()", ()),
+    ("poch(a; q^h)_inf", {"a", "h"}, "poch(a; q^2)_inf", ("arg",)),
+    ("qomega(h)_(h*n)", {"h", "n"}, "qomega(2)_(2*n)", ()),
+    ("qstride(h)_inf", {"h"}, "qstride(2)_inf", ()),
+    ("sum(k=1..inf step 2; z^k * q^(h*k))", {"z", "h"},
+     "sum(k=1..inf step 2; z^k * q^(2*k))", ("summand",)),
+    ("msum(j, k; a^j * q^(h*k))", {"a", "h"}, "msum(j, k; a^j * q^(2*k))",
+     ("summand",)),
+]
+
+
+@pytest.mark.parametrize("text,names,substituted,fields", NODE_KIND_CASES,
+                         ids=[case[0] for case in NODE_KIND_CASES])
+def test_every_node_kind_walks(text, names, substituted, fields):
+    e = parse_expr(text)
+    assert free_names(e) == names
+    assert substitute(e, {"h": 2}, check_names=False) == parse_expr(substituted)
+    assert tuple(name for name, _ in child_fields(e)) == fields
+
+
+def test_substitute_each_msum_index_is_shadowing():
+    e = parse_expr("msum(j, k; a^j * q^(h*k))")
+    for ix in ("j", "k"):
+        with pytest.raises(IndexShadowing, match=repr(ix)):
+            substitute(e, {ix: 1}, check_names=False)
+    # indices are checked in declared order
+    with pytest.raises(IndexShadowing, match="'j'"):
+        substitute(e, {"k": 1, "j": 1}, check_names=False)
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_field_table_covers_every_node_class():
+    import qsv.cli  # noqa: F401  (loads every module that might add a node)
+
+    for cls in _subclasses(Expr):
+        assert tuple(name for name, _ in FIELDS[cls]) == tuple(
+            f.name for f in dataclasses.fields(cls))
+    assert FIELDS[Poch] == (("arg", "expr"), ("base", "poly"), ("length", "poly"))
+    assert FIELDS[Sum] == (("index", "data"), ("start", "data"),
+                           ("stride", "data"), ("summand", "expr"))
+
+
+def test_unknown_node_is_a_type_error():
+    stray = IntPoly.const(1)
+    for call in (lambda: free_names(Add(Param("a"), stray)),
+                 lambda: substitute(Add(Param("a"), stray), {},
+                                    check_names=False),
+                 lambda: child_fields(stray)):
+        with pytest.raises(TypeError, match="unknown expression node"):
+            call()
 
 
 # -- catalog-level parsing ------------------------------------------------------------------
