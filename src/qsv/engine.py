@@ -16,6 +16,7 @@ Two backends share the same AST:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -30,6 +31,7 @@ from .errors import (
     TermCapExceeded,
     UnknownName,
     ValuationStall,
+    ZeroConstantTerm,
 )
 from .exact import (
     DEFAULT_ORDER,
@@ -40,6 +42,7 @@ from .exact import (
     series_div_binomial,
     series_inv,
     series_mul,
+    series_mul_binomial,
     series_mul_many,
     series_one,
     series_pow,
@@ -65,6 +68,8 @@ from .expr import (
     Sub,
     Sum,
     Theta,
+    free_names,
+    walk,
 )
 from .intpoly import IntPoly
 from .qkernel import (
@@ -90,6 +95,9 @@ STALL_LIMIT = 1000
 MAX_EXACT_TERMS = 200_000
 
 _BIG = 10 ** 9
+
+_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
+_ONE = ParamValue(Fraction(1), 0)
 
 
 @dataclass
@@ -129,25 +137,23 @@ class ExactEvaluator:
 
     # -- symbol helpers -------------------------------------------------------
 
-    def _qexp(self, p: IntPoly, idxenv) -> int:
+    def _int_at_least(self, p: IntPoly, idxenv, least: int, what: str) -> int:
         v = p.eval_int(idxenv)
-        if v < 0:
-            raise NonIntegerExponent(f"q-power exponent {p.render()} = {v} < 0")
+        if v < least:
+            raise NonIntegerExponent(f"{what} {p.render()} = {v} < {least}")
         return v
+
+    def _qexp(self, p: IntPoly, idxenv) -> int:
+        return self._int_at_least(p, idxenv, 0, "q-power exponent")
 
     def _base_exp(self, p: IntPoly, idxenv) -> int:
-        v = p.eval_int(idxenv)
-        if v < 1:
-            raise NonIntegerExponent(f"base exponent {p.render()} = {v} < 1")
-        return v
+        return self._int_at_least(p, idxenv, 1, "base exponent")
 
     def _length(self, length, idxenv):
+        """A Pochhammer length, None for inf."""
         if length is INF:
             return None
-        v = length.eval_int(idxenv)
-        if v < 0:
-            raise NonIntegerExponent(f"Pochhammer length {length.render()} = {v} < 0")
-        return v
+        return self._int_at_least(length, idxenv, 0, "Pochhammer length")
 
     def _param(self, name) -> ParamValue:
         try:
@@ -168,18 +174,12 @@ class ExactEvaluator:
         if isinstance(e, Neg):
             m = self.monomial(e.arg, idxenv)
             return None if m is None else m.neg()
-        if isinstance(e, Mul):
+        if isinstance(e, (Mul, Div)):
             a = self.monomial(e.left, idxenv)
             b = self.monomial(e.right, idxenv)
             if a is None or b is None:
                 return None
-            return a.mul(b)
-        if isinstance(e, Div):
-            a = self.monomial(e.left, idxenv)
-            b = self.monomial(e.right, idxenv)
-            if a is None or b is None:
-                return None
-            return a.div(b)
+            return a.mul(b) if isinstance(e, Mul) else a.div(b)
         if isinstance(e, Pow):
             a = self.monomial(e.base, idxenv)
             if a is None:
@@ -203,18 +203,10 @@ class ExactEvaluator:
         if isinstance(e, Neg):
             c = self.const0(e.arg, idxenv)
             return None if c is None else -c
-        if isinstance(e, Add):
+        if isinstance(e, (Add, Sub, Mul)):
             a = self.const0(e.left, idxenv)
             b = self.const0(e.right, idxenv)
-            return None if a is None or b is None else a + b
-        if isinstance(e, Sub):
-            a = self.const0(e.left, idxenv)
-            b = self.const0(e.right, idxenv)
-            return None if a is None or b is None else a - b
-        if isinstance(e, Mul):
-            a = self.const0(e.left, idxenv)
-            b = self.const0(e.right, idxenv)
-            return None if a is None or b is None else a * b
+            return None if a is None or b is None else _ARITH[type(e)](a, b)
         if isinstance(e, Div):
             a = self.const0(e.left, idxenv)
             b = self.const0(e.right, idxenv)
@@ -238,7 +230,8 @@ class ExactEvaluator:
             length = self._length(e.length, idxenv)
             if length is None:
                 return None  # genuinely infinite product of (1-c) factors
-            return (1 - c) ** length
+            # every factor after the first is 1 plus a positive q-power
+            return 1 - c if length else Fraction(1)
         if isinstance(e, (OmegaProd, StrideProd, Theta)):
             return Fraction(1)
         return None
@@ -333,25 +326,37 @@ class ExactEvaluator:
             out.append((e, inverted))
 
     def _eval_product(self, e, idxenv, invert_all=False) -> QSeries:
-        """Product chains: fold every monomial factor into one c*q^v
-        prefactor, evaluate the remaining factors truncated to
-        order - v (nothing below the prefactor valuation can matter),
-        and multiply in integer space."""
-        N = self.order
         parts = []
         self._flatten_product(e, invert_all, parts)
-        num_mono = ParamValue(Fraction(1), 0)
-        den_mono = ParamValue(Fraction(1), 0)
-        series_parts = []
+
+        def product(series_parts, reduced):
+            factors = [(self._eval_inv(node, idxenv) if inv
+                        else self._eval(node, idxenv)).truncate(reduced)
+                       for node, inv in series_parts]
+            return factors[0] if len(factors) == 1 else series_mul_many(factors)
+
+        return self._product(parts, idxenv, product)
+
+    def _product(self, parts, idxenv, product, num_mono=_ONE, den_mono=_ONE,
+                 series_parts=()) -> QSeries:
+        """Product chains: fold every monomial part into one c*q^v
+        prefactor (with num_mono/den_mono), and multiply it by the other
+        parts, which `product(series_parts, reduced)` builds modulo
+        q^reduced, reduced = order - v (nothing below the prefactor's
+        valuation can matter).  A prefactor at or past the order gives 0
+        only when every inverted part has a known nonzero constant term;
+        otherwise the parts are still built, so that a vanishing
+        denominator raises."""
+        N = self.order
+        series_parts = list(series_parts)
         for node, inv in parts:
             m = self.monomial(node, idxenv)
-            if m is not None:
-                if inv:
-                    den_mono = den_mono.mul(m)
-                else:
-                    num_mono = num_mono.mul(m)
-            else:
+            if m is None:
                 series_parts.append((node, inv))
+            elif inv:
+                den_mono = den_mono.mul(m)
+            else:
+                num_mono = num_mono.mul(m)
         if num_mono.is_zero():
             return series_zero(N)
         mono = num_mono.div(den_mono)
@@ -359,13 +364,11 @@ class ExactEvaluator:
             return mono.to_series(N)
         reduced = N - mono.qpow
         if reduced <= 0:
-            return series_zero(N)
-        factors = []
-        for node, inv in series_parts:
-            s = self._eval_inv(node, idxenv) if inv else self._eval(node, idxenv)
-            factors.append(s.truncate(reduced))
-        prod = factors[0] if len(factors) == 1 else series_mul_many(factors)
-        return series_shift(prod, mono.coeff, mono.qpow, N)
+            if all(self.const0(node, idxenv) not in (None, 0)
+                   for node, inv in series_parts if inv):
+                return series_zero(N)
+            reduced = 1
+        return series_shift(product(series_parts, reduced), mono.coeff, mono.qpow, N)
 
     def _eval_symbol(self, e, idxenv, inverse: bool) -> QSeries:
         """A Poch, OmegaProd or StrideProd node, or its reciprocal."""
@@ -450,6 +453,7 @@ class ExactEvaluator:
     def _eval_sum(self, index, start, stride, summand, idxenv) -> QSeries:
         N = self.order
         self._stall_preflight(summand, index, start, stride, idxenv)
+        plan = SumPlan(self, (index,), summand)
         total = series_zero(N)
         idx = start
         beyond = 0
@@ -470,7 +474,7 @@ class ExactEvaluator:
                 idx += stride
                 continue
             beyond = 0
-            term = self._eval(summand, sub_idx)
+            term = plan.term(sub_idx)
             total = series_add(total, term)
             v = term.valuation()
             if v > vmax:
@@ -505,6 +509,7 @@ class ExactEvaluator:
         if len(indices) == 1:
             return self._eval_sum(indices[0], 0, 1, summand, idxenv)
         lb0, rates = self._msum_rates(indices, summand, idxenv)
+        plan = SumPlan(self, indices, summand)
         total = series_zero(N)
         budget = N - lb0
 
@@ -514,7 +519,7 @@ class ExactEvaluator:
                 sub_idx = {**idxenv, **assignment}
                 if self.val_lb(summand, sub_idx) >= N:
                     return
-                total = series_add(total, self._eval(summand, sub_idx))
+                total = series_add(total, plan.term(sub_idx))
                 return
             ix, rate = indices[pos], rates[pos]
             k = 0
@@ -532,6 +537,153 @@ class ExactEvaluator:
         if r < 1 or not (0 <= s < r):
             raise ValueError("need r >= 1 and 0 <= s < r")
         return self._eval_sum(index, s, r, summand, self._bind(idxenv))
+
+
+class SumPlan:
+    """The summand of one sum or msum, compiled at its first term, so that a
+    term costs a few O(N) binomial steps instead of an O(N^2) product.
+
+    Catalog summands are q-hypergeometric in their indices.  Of the parts
+    `_eval_product` sees, monomials are evaluated per term (once if
+    index-free), index-free series are multiplied once into the running
+    series, and binomials 1 +- m (m an index-dependent monomial) are
+    applied per term.  Chains -- finite (x; q^h)_len with x and h
+    index-free, also to a fixed power >= 1, and qomega/qstride through
+    their qkernel collapse triples -- stay in the running series, which a
+    term moves to its lengths by each factor (1 - x q^(x.qpow + h*i)) in
+    between.  One running series is kept per index level (the first term
+    under the current values of the indices up to it), so an msum never
+    divides back when an inner index resets.  Any other index-dependent
+    part, or a compile step that raises, sets `fallback` to the reason and
+    each term is then `_eval` of the summand: terms and errors are _eval's."""
+
+    def __init__(self, ev: ExactEvaluator, indices, summand):
+        self.ev, self.indices, self.summand = ev, tuple(indices), summand
+        self.fallback = self.parts = None
+
+    def term(self, idxenv) -> QSeries:
+        """The summand under idxenv, which binds every index of the sum."""
+        if self.parts is None:
+            self.fallback = self._compile(idxenv)
+        if self.fallback is not None:
+            return self.ev._eval(self.summand, idxenv)
+        return self.ev._product(self.monomials, idxenv,
+                           lambda _, reduced: self._series(idxenv).truncate(reduced),
+                           self.num_mono, self.den_mono, self.parts)
+
+    def _series(self, idxenv) -> QSeries:
+        """The product of the series parts at this term, modulo q^N."""
+        lengths, binomials = [], []
+        for kind, target, rule, inv in self.steps:  # in product order, as _eval raises
+            if kind == "chain":
+                lengths.extend(rule(self.ev._length(target, idxenv)))
+                continue
+            m = self.ev.monomial(target, idxenv)
+            if inv and m.qpow == 0 and rule * m.coeff == -1:
+                raise ZeroConstantTerm("cannot invert a series with zero constant term")
+            binomials.append((rule * m.coeff, m.qpow, inv))
+        series = self._move(tuple(idxenv[ix] for ix in self.indices), lengths)
+        for c, e, inverse in binomials:
+            series = _binomial_step(series, c, e, inverse)
+        return series
+
+    def _move(self, values, lengths) -> QSeries:
+        """The running series of the outermost index level that changed
+        since the last move, stepped to `lengths`."""
+        level = next((i for i, (a, b) in enumerate(zip(values, self._last)) if a != b),
+                     len(values) - 1)
+        have, series = self._levels[level]
+        for (x, h, power), old, new in zip(self.chains, have, lengths):
+            for i in range(min(old, new), max(old, new)):
+                e = x.qpow + h * i
+                if e >= series.order:
+                    break  # this factor and all later ones are 1 mod q^N
+                for _ in range(abs(power)):
+                    series = _binomial_step(series, -x.coeff, e,
+                                            (new > old) != (power > 0))
+        self._levels[level:] = [(lengths, series)] * (len(values) - level)
+        self._last = values
+        return series
+
+    def _compile(self, idxenv):
+        """Classify the summand's parts; the fallback reason, or None."""
+        ev, names = self.ev, set(self.indices)
+        self.monomials, self.parts, self.steps, self.chains, flat, fixed = [], [], [], [], [], []
+        ev._flatten_product(self.summand, False, flat)
+        self.num_mono = self.den_mono = _ONE
+        try:
+            for node, inv in flat:
+                varies = not free_names(node).isdisjoint(names)
+                m = ev.monomial(node, idxenv)
+                if m is not None and varies:
+                    self.monomials.append((node, inv))
+                elif m is not None and inv:
+                    self.den_mono = self.den_mono.mul(m)
+                elif m is not None:
+                    self.num_mono = self.num_mono.mul(m)
+                else:
+                    self.parts.append((node, inv))
+                    if not varies:
+                        fixed.append((node, inv))
+                        continue
+                    step = self._step(node, inv, names, idxenv)
+                    if isinstance(step, str):
+                        return step
+                    self.steps.append(step)
+            start = [ev._eval_inv(node, idxenv) if inv else ev._eval(node, idxenv)
+                     for node, inv in fixed] or [series_one(ev.order)]
+        except Exception as exc:  # noqa: BLE001  (_eval raises it at its term)
+            return f"{type(exc).__name__} while compiling"
+        start = start[0] if len(start) == 1 else series_mul_many(start)
+        self._levels = [((0,) * len(self.chains), start)] * len(self.indices)
+        self._last = (None,) * len(self.indices)  # no term yet
+        return None
+
+    def _step(self, node, inv, names, idxenv):
+        """The per-term step of an index-dependent series part, or the
+        reason it has none: ("chain", length, rule giving the lengths of the
+        chains it appended, None) or ("binomial", m, sign, inv)."""
+        ev, power = self.ev, -1 if inv else 1
+        if isinstance(node, Pow) and isinstance(node.base, Poch):
+            n = node.exponent.eval_int(idxenv)
+            if not node.exponent.symbols().isdisjoint(names) or n < 1:
+                return "power of a chain not fixed and >= 1"
+            node, power = node.base, power * n
+        if isinstance(node, Poch):
+            x = ev.monomial(node.arg, idxenv)
+            if (node.length is INF or x is None or not free_names(node.arg).isdisjoint(names)
+                    or not node.base.symbols().isdisjoint(names)):
+                return "index in a Pochhammer argument or base"
+            if x.qpow == 0 and x.coeff == 1:
+                return "Pochhammer argument 1"
+            self.chains.append((x, ev._base_exp(node.base, idxenv), power))
+            return ("chain", node.length, lambda n: (n,), None)
+        if isinstance(node, (OmegaProd, StrideProd)) and node.h.symbols().isdisjoint(names):
+            h = ev._base_exp(node.h, idxenv)
+            collapse = omega_collapse if isinstance(node, OmegaProd) else stride_collapse
+            (a, b, _), (c, d, _) = collapse(0, h)
+            self.chains += [(ParamValue(Fraction(1), a), b, power),
+                            (ParamValue(Fraction(1), c), d, -power)]
+            return ("chain", node.length, lambda n: [t[2] for t in collapse(n, h)], None)
+        if (isinstance(node, (Add, Sub)) and free_names(node.left).isdisjoint(names)
+                and ev.monomial(node.left, idxenv) == ParamValue(Fraction(1), 0)
+                and ev.monomial(node.right, idxenv) is not None
+                and not any(isinstance(n, Div) for n, _ in walk(node.right))):
+            return ("binomial", node.right, 1 if isinstance(node, Add) else -1, inv)
+        if isinstance(node, (Sum, MultiSum)):
+            return "nested sum"
+        return f"index in a {type(node).__name__} part"
+
+
+def _binomial_step(series: QSeries, c, e: int, inverse: bool) -> QSeries:
+    """series times (1 + c*q^e), or divided by it, modulo q^series.order."""
+    if e >= series.order:
+        return series
+    if not inverse:
+        return series_mul_binomial(series, c, e)
+    if e == 0:
+        return series_scale(series, 1 / (1 + c))
+    return series_div_binomial(series, c, e)
 
 
 def eval_exact(e: Expr, env: ExactEnv) -> QSeries:

@@ -27,7 +27,14 @@ from qsv.engine import (
     fl_lhs_numeric,
     fl_rhs_numeric,
 )
-from qsv.exact import ParamValue, series_mul, series_section
+from qsv.exact import (
+    ParamValue,
+    series_add,
+    series_mul,
+    series_scale,
+    series_section,
+    series_subs_neg_q,
+)
 from qsv.qkernel import ThetaKind, poch_infinite, theta_product, theta_series
 from qsv.verifier import (
     default_exact_grid,
@@ -220,9 +227,11 @@ def test_criterion_10_sectioning(catalog):
     rhs = eval_exact(record.rhs, env)
     psi = theta_series(ThetaKind.PSI, n)
     even_part = series_section(psi, 2, 0)
-    ok = lhs == rhs and rhs == even_part
+    averaged = series_scale(series_add(psi, series_subs_neg_q(psi)), F(1, 2))
+    ok = lhs == rhs and rhs == even_part and averaged == even_part
     announce(10, ok, "even-section record verifies at order 128 and equals "
-                     "the even part of the triangular theta series")
+                     "the even part of the triangular theta series, also as "
+                     "(f(q)+f(-q))/2")
 
 
 def test_criterion_11_mutation_sensitivity(catalog):

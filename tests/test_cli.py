@@ -135,6 +135,28 @@ identity never {
         assert "summary: 0 pass, 0 mismatch, 1 error" in out
 
 
+@pytest.mark.parametrize("lhs", [
+    "q^64 / (poch(2; q)_2 + 1)",
+    "sum(k=0..inf; q^(k+64) / (poch(2; q)_2 + 1))",
+])
+def test_non_unit_denominator_never_passes(capsys, tmp_path, lhs):
+    # the left side is q^63/2 (a Laurent series), not 0: the denominator
+    # (1-2)(1-2q) + 1 = 2q has no constant term
+    catalog = tmp_path / "nonunit.qsv"
+    catalog.write_text(f"""
+identity nonunit {{
+  anchor "t";
+  lhs = {lhs};
+  rhs = 0;
+}}
+""")
+    for order in ("64", "65"):
+        code, out, _ = run(capsys, "check", "nonunit", "--catalog", str(catalog),
+                           "--order", order)
+        assert code == 3
+        assert "summary: 0 pass, 0 mismatch, 1 error" in out
+
+
 def test_check_all_filtered(capsys, tmp_path):
     report = tmp_path / "r.json"
     code, out, _ = run(capsys, "check-all", "--filter", "1.6.6",

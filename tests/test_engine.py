@@ -208,6 +208,14 @@ def test_multisum_matches_brute_force():
     assert got == total
 
 
+@pytest.mark.parametrize("n", [0, 1, 3])
+@pytest.mark.parametrize("c", ["0", "2", "1/2", "1"])
+def test_const0_of_a_finite_pochhammer(c, n):
+    e = parse_expr(f"poch({c}; q)_{n}")
+    env = ExactEnv(order=4)
+    assert ExactEvaluator(env).const0(e, {}) == eval_exact(e, env)[0]
+
+
 def test_multisum_stall_detection():
     e = parse_expr("msum(k1, k2; z1^k1 * z2^k2)")
     env = ExactEnv(order=12, params={"z1": pv(1, 1), "z2": pv(F(1, 3), 0)})

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qsv.dsl import parse_expr
-from qsv.engine import ExactEnv, eval_exact
+from qsv.engine import ExactEnv, ExactEvaluator, SumPlan, eval_exact
 from qsv.exact import ParamValue, QSeries
 from qsv.expr import (
     INF,
@@ -269,3 +269,50 @@ def test_collapsed_products_and_reciprocals_match_naive(form, h, length):
     order = 16
     env = ExactEnv(order=order)
     assert eval_exact(e, env) == to_series(naive_eval(e, env, {}, order), order)
+
+
+# -- compiled sum plans ------------------------------------------------------------
+
+# One summand per shape of the sum plan, with the plan's fallback reason
+# (None: the terms are stepped by Pochhammer ratios).
+PLAN_CASES = [
+    ("sum(k=0..inf; poch(a; q^h)_(h*k+1) / poch(q; q^h)_(h*k+1) * z^k)", None),
+    ("sum(k=0..inf; q^k / poch(q; q)_k^2)", None),
+    ("sum(k=0..inf; poch(a; q)_k^2 * z^k / poch(q^2; q^2)_k)", None),
+    ("sum(k=0..inf; (-1)^k * q^(tri(k)) * (1 - q^(k+1)))", None),
+    ("sum(k=0..inf; z^k / ((1 - q^(k+1)) * poch(q; q)_k))", None),
+    ("sum(k=0..inf; z^k / (poch(q; q)_k * (1 + a*q^(2*k+1))))", None),
+    ("sum(k=0..inf; qomega(2)_k * z^k)", None),
+    ("sum(k=0..inf; z^k / qstride(3)_k)", None),
+    ("sum(k=0..inf; poch(1/2*q; q)_k / poch(-1/3*q; q)_k * z^k)", None),
+    ("sum(k=0..inf; poch(b; q)_k / poch(-b*q; q^2)_k * z^k)", None),
+    ("sum(k=0..inf; poch(-1/3; q)_k * z^k / poch(3/2; q)_(2*k))", None),
+    ("msum(j, k; poch(w; q^h)_(2*j+k) / (poch(q; q)_j * poch(q; q)_k)"
+     " * q^(j+2*k))", None),
+    ("sum(k=1..inf step 2; poch(a; q)_k / poch(q; q)_k * z^k)", None),
+    ("sum(k=0..inf; q^k * poch(a*q^k; q)_3)", "index in a Pochhammer argument or base"),
+    ("sum(k=0..inf; z^k * sum(j=0..inf; q^(j*(k+1))))", "nested sum"),
+    ("sum(k=0..inf; z^k * poch(1; q)_k)", "Pochhammer argument 1"),
+]
+
+PLAN_PARAMS = [
+    {"a": ParamValue(F(1, 2), 1), "b": ParamValue(F(-1, 3), 0),
+     "z": ParamValue(F(1), 1), "w": ParamValue(F(-1), 1)},
+    {"a": ParamValue(F(-2), 2), "b": ParamValue(F(1, 2), 0),
+     "z": ParamValue(F(-1, 3), 1), "w": ParamValue(F(2, 3), 0)},
+]
+
+
+@pytest.mark.parametrize("params", PLAN_PARAMS, ids=["p0", "p1"])
+@pytest.mark.parametrize("text,fallback", PLAN_CASES,
+                         ids=[t for t, _ in PLAN_CASES])
+def test_sum_plan_matches_naive(text, fallback, params):
+    e = parse_expr(text)
+    order = 16
+    env = ExactEnv(order=order, params=params, exps={"h": 2})
+    assert eval_exact(e, env) == to_series(naive_eval(e, env, {}, order), order)
+    indices = (e.index,) if isinstance(e, Sum) else e.indices
+    start = e.start if isinstance(e, Sum) else 0
+    plan = SumPlan(ExactEvaluator(env), indices, e.summand)
+    plan.term({**env.exps, **{ix: start for ix in indices}})
+    assert plan.fallback == fallback
