@@ -38,11 +38,11 @@ from .exact import (
     ParamValue,
     QSeries,
     series_add,
+    series_apply_binomials,
     series_const,
     series_div_binomial,
     series_inv,
     series_mul,
-    series_mul_binomial,
     series_mul_many,
     series_one,
     series_pow,
@@ -425,18 +425,24 @@ class ExactEvaluator:
 
     # -- sums -------------------------------------------------------------------
 
-    def _stall_preflight(self, summand, index, start, stride, idxenv):
+    def _stall_preflight(self, plan, index, start, stride, idxenv):
         """Scan the valuation bound along the index before evaluating
         anything; a bound that never rises within the stall window means
-        the substitution is outside the formal domain."""
+        the substitution is outside the formal domain.  A first term with
+        no bound at all (a denominator whose constant term is not known to
+        be nonzero) is evaluated, so that a vanishing denominator raises
+        its own error rather than a stall."""
         N = self.order
         floor = None
         stalled = 0
         idx = start
         for _ in range(STALL_LIMIT + 1):
-            lb = self.val_lb(summand, {**idxenv, index: idx})
+            sub_idx = {**idxenv, index: idx}
+            lb = self.val_lb(plan.summand, sub_idx)
             if lb >= N:
                 return
+            if floor is None and lb == -_BIG:
+                plan.term(sub_idx)
             if floor is None or lb > floor:
                 floor = lb
                 stalled = 0
@@ -452,8 +458,8 @@ class ExactEvaluator:
 
     def _eval_sum(self, index, start, stride, summand, idxenv) -> QSeries:
         N = self.order
-        self._stall_preflight(summand, index, start, stride, idxenv)
         plan = SumPlan(self, (index,), summand)
+        self._stall_preflight(plan, index, start, stride, idxenv)
         total = series_zero(N)
         idx = start
         beyond = 0
@@ -545,47 +551,52 @@ class SumPlan:
 
     Catalog summands are q-hypergeometric in their indices.  Of the parts
     `_eval_product` sees, monomials are evaluated per term (once if
-    index-free), index-free series are multiplied once into the running
-    series, and binomials 1 +- m (m an index-dependent monomial) are
-    applied per term.  Chains -- finite (x; q^h)_len with x and h
-    index-free, also to a fixed power >= 1, and qomega/qstride through
-    their qkernel collapse triples -- stay in the running series, which a
-    term moves to its lengths by each factor (1 - x q^(x.qpow + h*i)) in
-    between.  One running series is kept per index level (the first term
-    under the current values of the indices up to it), so an msum never
-    divides back when an inner index resets.  Any other index-dependent
-    part, or a compile step that raises, sets `fallback` to the reason and
-    each term is then `_eval` of the summand: terms and errors are _eval's."""
+    index-free), index-free series are evaluated once, at the first term
+    that needs them, into the running series, and binomials 1 +- m (m an
+    index-dependent monomial) are applied per term.  Chains -- finite
+    (x; q^h)_len with x != 1 and h index-free, also to a fixed power >= 1,
+    and qomega/qstride through their qkernel collapse triples -- stay in the
+    running series, which a term moves to its lengths by each factor
+    (1 - x q^(x.qpow + h*i)) in between.  One running series is kept per
+    index level (the first term under the current values of the indices up
+    to it), so an msum never divides back when an inner index resets.  Any
+    other index-dependent part is evaluated per term by `_eval`/`_eval_inv`
+    and multiplied in.  Parts are evaluated in product order, so a term
+    raises what `_eval` of the summand raises."""
 
     def __init__(self, ev: ExactEvaluator, indices, summand):
         self.ev, self.indices, self.summand = ev, tuple(indices), summand
-        self.fallback = self.parts = None
+        self.parts = None
 
     def term(self, idxenv) -> QSeries:
         """The summand under idxenv, which binds every index of the sum."""
         if self.parts is None:
-            self.fallback = self._compile(idxenv)
-        if self.fallback is not None:
-            return self.ev._eval(self.summand, idxenv)
+            self._compile(idxenv)
         return self.ev._product(self.monomials, idxenv,
-                           lambda _, reduced: self._series(idxenv).truncate(reduced),
-                           self.num_mono, self.den_mono, self.parts)
+                                lambda _, reduced: self._series(idxenv, reduced),
+                                self.num_mono, self.den_mono, self.parts)
 
-    def _series(self, idxenv) -> QSeries:
-        """The product of the series parts at this term, modulo q^N."""
-        lengths, binomials = [], []
+    def _series(self, idxenv, reduced) -> QSeries:
+        """The product of the series parts at this term, modulo q^reduced."""
+        ev, lengths, binomials, evaluated = self.ev, [], [], []
+        fixed = [] if self._levels is None else None
         for kind, target, rule, inv in self.steps:  # in product order, as _eval raises
             if kind == "chain":
-                lengths.extend(rule(self.ev._length(target, idxenv)))
-                continue
-            m = self.ev.monomial(target, idxenv)
-            if inv and m.qpow == 0 and rule * m.coeff == -1:
-                raise ZeroConstantTerm("cannot invert a series with zero constant term")
-            binomials.append((rule * m.coeff, m.qpow, inv))
+                lengths.extend(rule(ev._length(target, idxenv)))
+            elif kind == "binomial":
+                m = ev.monomial(target, idxenv)
+                if inv and m.qpow == 0 and rule * m.coeff == -1:
+                    raise ZeroConstantTerm("cannot invert a series with zero constant term")
+                binomials.append((rule * m.coeff, m.qpow, inv))
+            elif kind == "eval" or fixed is not None:
+                value = ev._eval_inv(target, idxenv) if inv else ev._eval(target, idxenv)
+                (evaluated if kind == "eval" else fixed).append(value)
+        if fixed is not None:
+            start = series_mul_many(fixed) if fixed else series_one(ev.order)
+            self._levels = [((0,) * len(self.chains), start)] * len(self.indices)
         series = self._move(tuple(idxenv[ix] for ix in self.indices), lengths)
-        for c, e, inverse in binomials:
-            series = _binomial_step(series, c, e, inverse)
-        return series
+        series = series_apply_binomials(series.truncate(reduced), binomials)
+        return series_mul_many([series, *evaluated]) if evaluated else series
 
     def _move(self, values, lengths) -> QSeries:
         """The running series of the outermost index level that changed
@@ -593,69 +604,61 @@ class SumPlan:
         level = next((i for i, (a, b) in enumerate(zip(values, self._last)) if a != b),
                      len(values) - 1)
         have, series = self._levels[level]
+        factors = []
         for (x, h, power), old, new in zip(self.chains, have, lengths):
+            inverse = (new > old) != (power > 0)
             for i in range(min(old, new), max(old, new)):
                 e = x.qpow + h * i
                 if e >= series.order:
                     break  # this factor and all later ones are 1 mod q^N
-                for _ in range(abs(power)):
-                    series = _binomial_step(series, -x.coeff, e,
-                                            (new > old) != (power > 0))
+                factors += [(-x.coeff, e, inverse)] * abs(power)
+        series = series_apply_binomials(series, factors)
         self._levels[level:] = [(lengths, series)] * (len(values) - level)
         self._last = values
         return series
 
     def _compile(self, idxenv):
-        """Classify the summand's parts; the fallback reason, or None."""
+        """Sort the summand's parts into monomials and per-term steps."""
         ev, names = self.ev, set(self.indices)
-        self.monomials, self.parts, self.steps, self.chains, flat, fixed = [], [], [], [], [], []
+        self.monomials, self.parts, self.steps, self.chains, flat = [], [], [], [], []
         ev._flatten_product(self.summand, False, flat)
         self.num_mono = self.den_mono = _ONE
-        try:
-            for node, inv in flat:
-                varies = not free_names(node).isdisjoint(names)
-                m = ev.monomial(node, idxenv)
-                if m is not None and varies:
-                    self.monomials.append((node, inv))
-                elif m is not None and inv:
-                    self.den_mono = self.den_mono.mul(m)
-                elif m is not None:
-                    self.num_mono = self.num_mono.mul(m)
-                else:
-                    self.parts.append((node, inv))
-                    if not varies:
-                        fixed.append((node, inv))
-                        continue
-                    step = self._step(node, inv, names, idxenv)
-                    if isinstance(step, str):
-                        return step
-                    self.steps.append(step)
-            start = [ev._eval_inv(node, idxenv) if inv else ev._eval(node, idxenv)
-                     for node, inv in fixed] or [series_one(ev.order)]
-        except Exception as exc:  # noqa: BLE001  (_eval raises it at its term)
-            return f"{type(exc).__name__} while compiling"
-        start = start[0] if len(start) == 1 else series_mul_many(start)
-        self._levels = [((0,) * len(self.chains), start)] * len(self.indices)
+        for node, inv in flat:  # every monomial first, as _product evaluates them
+            m = ev.monomial(node, idxenv)
+            if m is None:
+                self.parts.append((node, inv))
+            elif not free_names(node).isdisjoint(names):
+                self.monomials.append((node, inv))
+            elif inv:
+                self.den_mono = self.den_mono.mul(m)
+            else:
+                self.num_mono = self.num_mono.mul(m)
+        for node, inv in self.parts:
+            self.steps.append(self._step(node, inv, names, idxenv)
+                              if not free_names(node).isdisjoint(names)
+                              else ("fixed", node, None, inv))
+        self._levels = None  # built from the fixed parts at the first move
         self._last = (None,) * len(self.indices)  # no term yet
-        return None
 
     def _step(self, node, inv, names, idxenv):
-        """The per-term step of an index-dependent series part, or the
-        reason it has none: ("chain", length, rule giving the lengths of the
-        chains it appended, None) or ("binomial", m, sign, inv)."""
+        """The per-term step of an index-dependent series part: ("chain",
+        length, rule giving the lengths of the chains it appended, None),
+        ("binomial", m, sign, inv), or ("eval", node, None, inv) for a part
+        evaluated whole at each term."""
         ev, power = self.ev, -1 if inv else 1
+        whole = ("eval", node, None, inv)
         if isinstance(node, Pow) and isinstance(node.base, Poch):
             n = node.exponent.eval_int(idxenv)
             if not node.exponent.symbols().isdisjoint(names) or n < 1:
-                return "power of a chain not fixed and >= 1"
+                return whole
             node, power = node.base, power * n
         if isinstance(node, Poch):
-            x = ev.monomial(node.arg, idxenv)
-            if (node.length is INF or x is None or not free_names(node.arg).isdisjoint(names)
+            if (node.length is INF or not free_names(node.arg).isdisjoint(names)
                     or not node.base.symbols().isdisjoint(names)):
-                return "index in a Pochhammer argument or base"
-            if x.qpow == 0 and x.coeff == 1:
-                return "Pochhammer argument 1"
+                return whole
+            x = ev.monomial(node.arg, idxenv)
+            if x is None or (x.qpow == 0 and x.coeff == 1):
+                return whole
             self.chains.append((x, ev._base_exp(node.base, idxenv), power))
             return ("chain", node.length, lambda n: (n,), None)
         if isinstance(node, (OmegaProd, StrideProd)) and node.h.symbols().isdisjoint(names):
@@ -670,20 +673,7 @@ class SumPlan:
                 and ev.monomial(node.right, idxenv) is not None
                 and not any(isinstance(n, Div) for n, _ in walk(node.right))):
             return ("binomial", node.right, 1 if isinstance(node, Add) else -1, inv)
-        if isinstance(node, (Sum, MultiSum)):
-            return "nested sum"
-        return f"index in a {type(node).__name__} part"
-
-
-def _binomial_step(series: QSeries, c, e: int, inverse: bool) -> QSeries:
-    """series times (1 + c*q^e), or divided by it, modulo q^series.order."""
-    if e >= series.order:
-        return series
-    if not inverse:
-        return series_mul_binomial(series, c, e)
-    if e == 0:
-        return series_scale(series, 1 / (1 + c))
-    return series_div_binomial(series, c, e)
+        return whole
 
 
 def eval_exact(e: Expr, env: ExactEnv) -> QSeries:

@@ -198,52 +198,71 @@ def series_mul(f: QSeries, g: QSeries) -> QSeries:
     return QSeries.from_ints(n, _int_convolve(f.nums, g.nums, n), f.den * g.den)
 
 
+def series_apply_binomials(f: QSeries, factors) -> QSeries:
+    """f times (1 + c*q^e), or divided by it where inverse, for each
+    (c, e, inverse) in factors: O(N) integer operations per factor and one
+    gcd normalisation at the end.  Factors with e >= f.order are 1 modulo
+    q^N and skipped.
+
+    With c = p/d a product has the numerators d*a[i] + p*a[i-e] over d*den.
+    A quotient g satisfies g[i] = a[i] - c*g[i-e] (e >= 1); the integers
+    H[i] = d^k * g[i], k = i // e, satisfy H[i] = d^k * a[i] - p*H[i-e],
+    and g[i] = H[i] * d^(K-k) / d^K over the largest k = K."""
+    n = f.order
+    out, den = list(f.nums), f.den
+    for c, e, inverse in factors:
+        if e < 0:
+            raise NegativeQPower(f"binomial factor with negative q-power {e}")
+        if e >= n or not c:
+            continue
+        c = Fraction(c)
+        p, d = c.numerator, c.denominator
+        if e == 0:
+            # the scalar 1 + c = (d + p)/d, or its reciprocal
+            s = d + p
+            if inverse:
+                if not s:
+                    raise ZeroConstantTerm("cannot invert a series with zero constant term")
+                s, d = d, s
+            out = [s * x for x in out]
+            den *= d
+        elif not inverse:
+            if d == 1:
+                for i in range(n - 1, e - 1, -1):
+                    x = out[i - e]
+                    if x:
+                        out[i] += p * x
+            else:
+                for i in range(n - 1, e - 1, -1):
+                    out[i] = d * out[i] + p * out[i - e]
+                for i in range(e):
+                    out[i] *= d
+                den *= d
+        elif d == 1:
+            for i in range(e, n):
+                x = out[i - e]
+                if x:
+                    out[i] -= p * x
+        else:
+            top = (n - 1) // e
+            powers = [1]
+            for _ in range(top):
+                powers.append(powers[-1] * d)
+            for i in range(e, n):
+                out[i] = powers[i // e] * out[i] - p * out[i - e]
+            out = [x * powers[top - i // e] for i, x in enumerate(out)]
+            den *= powers[top]
+    return QSeries.from_ints(n, out, den)
+
+
 def series_mul_binomial(f: QSeries, c, e) -> QSeries:
-    """f * (1 + c*q^e) in O(N) coefficient operations.  With c = p/d the
-    numerators become d*a[i] + p*a[i-e] over the denominator d*den."""
-    if e < 0:
-        raise NegativeQPower(f"binomial factor with negative q-power {e}")
-    c = Fraction(c)
-    if e == 0:
-        return series_scale(f, 1 + c)
-    p, d = c.numerator, c.denominator
-    a = f.nums
-    out = list(a) if d == 1 else [d * x for x in a]
-    if p:
-        for i in range(e, f.order):
-            x = a[i - e]
-            if x:
-                out[i] += p * x
-    return QSeries.from_ints(f.order, out, d * f.den)
+    """f * (1 + c*q^e) in O(N) coefficient operations."""
+    return series_apply_binomials(f, ((c, e, False),))
 
 
 def series_div_binomial(f: QSeries, c, e) -> QSeries:
-    """f / (1 + c*q^e) in O(N) coefficient operations (e >= 1).
-
-    The quotient g satisfies g[i] = a[i] - c*g[i-e].  With c = p/d the
-    integers H[i] = d^k * g[i], k = i // e, satisfy
-    H[i] = d^k * a[i] - p*H[i-e], and g[i] = H[i] * d^(K-k) / d^K over the
-    largest k = K."""
-    if e <= 0:
-        raise ValueError("series_div_binomial requires e >= 1")
-    c = Fraction(c)
-    p, d = c.numerator, c.denominator
-    n = f.order
-    out = list(f.nums)
-    if d == 1:
-        for i in range(e, n):
-            x = out[i - e]
-            if x:
-                out[i] -= p * x
-        return QSeries.from_ints(n, out, f.den)
-    top = max((n - 1) // e, 0)
-    powers = [1]
-    for _ in range(top):
-        powers.append(powers[-1] * d)
-    for i in range(e, n):
-        out[i] = powers[i // e] * out[i] - p * out[i - e]
-    out = [x * powers[top - i // e] for i, x in enumerate(out)]
-    return QSeries.from_ints(n, out, f.den * powers[top])
+    """f / (1 + c*q^e) in O(N) coefficient operations."""
+    return series_apply_binomials(f, ((c, e, True),))
 
 
 def series_mul_many(factors) -> QSeries:

@@ -15,21 +15,14 @@ from .errors import NonTruncatable, ZeroConstantTerm
 from .exact import (
     ParamValue,
     QSeries,
-    series_div_binomial,
+    series_apply_binomials,
     series_inv,
     series_mul,
-    series_mul_binomial,
     series_one,
-    series_scale,
 )
-
-# Incremental caches: building (x;q^h)_{k+1} from (x;q^h)_k makes the sum
-# loops in the engine O(N) per extra factor instead of O(N^2).  Keys are
-# fully concrete (coeff, qpow, h, N); values hold the largest computed
-# prefix of the factor chain and, separately, of its inverse chain.
-_finite_cache: dict = {}
-_finite_inv_cache: dict = {}
-_infinite_cache: dict = {}
+# Not called here: perfbench/test_perfbench.py::
+# test_tracer_patches_every_binding_site_and_restores_them reads this binding.
+from .exact import series_mul_binomial  # noqa: F401
 
 _ONE = Fraction(1)
 
@@ -43,33 +36,14 @@ def _check_shape(h: int, k: int = 0):
         raise ValueError(f"Pochhammer length must be non-negative, got {k}")
 
 
-def _finite_chain(x: ParamValue, h: int, k: int, order: int,
-                  inverse: bool) -> QSeries:
-    """(x; q^h)_k, or its inverse, grown from the longest cached prefix of
-    the factor chain; every prefix on the way is cached."""
-    cache = _finite_inv_cache if inverse else _finite_cache
-    key = (x.coeff, x.qpow, h, order)
-    entry = cache.get(key)
-    if entry is None:
-        entry = cache[key] = {0: series_one(order)}
-    if k in entry:
-        return entry[k]
-    start = max(i for i in entry if i <= k)
-    series = entry[start]
-    for i in range(start, k):
-        e = x.qpow + h * i
-        if e >= order:
-            # every remaining factor is 1 mod q^order
-            entry[i + 1] = entry[k] = series
-            return series
-        if not inverse:
-            series = series_mul_binomial(series, -x.coeff, e)
-        elif e == 0:
-            series = series_scale(series, 1 / (1 - x.coeff))
-        else:
-            series = series_div_binomial(series, -x.coeff, e)
-        entry[i + 1] = series
-    return series
+def _chain(x: ParamValue, h: int, k, order: int, inverse: bool) -> QSeries:
+    """(x; q^h)_k, or its inverse, modulo q^order: one series_apply_binomials
+    call over the factors (1 - x*q^(x.qpow + h*i)) below the order (k None:
+    all of them)."""
+    below = max(-(-(order - x.qpow) // h), 0)
+    count = below if k is None else min(k, below)
+    return series_apply_binomials(
+        series_one(order), [(-x.coeff, x.qpow + h * i, inverse) for i in range(count)])
 
 
 def poch_finite(x: ParamValue, h: int, k: int, order: int) -> QSeries:
@@ -77,18 +51,18 @@ def poch_finite(x: ParamValue, h: int, k: int, order: int) -> QSeries:
     _check_shape(h, k)
     if x.is_zero() or k == 0:
         return series_one(order)
-    return _finite_chain(x, h, k, order, inverse=False)
+    return _chain(x, h, k, order, inverse=False)
 
 
 def poch_finite_inv(x: ParamValue, h: int, k: int, order: int) -> QSeries:
-    """1 / (x; q^h)_k, cached incrementally alongside poch_finite."""
+    """1 / (x; q^h)_k truncated at order."""
     _check_shape(h, k)
     if x.is_zero() or k == 0:
         return series_one(order)
     if x.qpow == 0 and x.coeff == 1:
         # first factor is (1 - 1) = 0
         raise ZeroConstantTerm("(x;q^h)_k with x = 1 vanishes")
-    return _finite_chain(x, h, k, order, inverse=True)
+    return _chain(x, h, k, order, inverse=True)
 
 
 def poch_infinite(x: ParamValue, h: int, order: int) -> QSeries:
@@ -105,17 +79,7 @@ def poch_infinite(x: ParamValue, h: int, order: int) -> QSeries:
             "(x;q^h)_inf with a zero-valuation argument does not truncate; "
             "use the numeric backend"
         )
-    key = (x.coeff, x.qpow, h, order)
-    cached = _infinite_cache.get(key)
-    if cached is not None:
-        return cached
-    series = series_one(order)
-    i = 0
-    while x.qpow + h * i < order:
-        series = series_mul_binomial(series, -x.coeff, x.qpow + h * i)
-        i += 1
-    _infinite_cache[key] = series
-    return series
+    return _chain(x, h, None, order, inverse=False)
 
 
 def poch_infinite_inv(x: ParamValue, h: int, order: int) -> QSeries:
@@ -126,12 +90,7 @@ def poch_infinite_inv(x: ParamValue, h: int, order: int) -> QSeries:
         raise NonTruncatable(
             "1/(x;q^h)_inf with a zero-valuation argument does not truncate"
         )
-    series = series_one(order)
-    i = 0
-    while x.qpow + h * i < order:
-        series = series_div_binomial(series, -x.coeff, x.qpow + h * i)
-        i += 1
-    return series
+    return _chain(x, h, None, order, inverse=True)
 
 
 def poch_elementary_ratio(x: ParamValue, h: int, k: int, order: int) -> QSeries:

@@ -155,6 +155,7 @@ identity nonunit {{
                            "--order", order)
         assert code == 3
         assert "summary: 0 pass, 0 mismatch, 1 error" in out
+        assert "ZeroConstantTerm" in out
 
 
 def test_check_all_filtered(capsys, tmp_path):

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from qsv.dsl import parse_expr
 from qsv.engine import ExactEnv, ExactEvaluator, SumPlan, eval_exact
+from qsv.errors import ValuationStall, ZeroConstantTerm
 from qsv.exact import ParamValue, QSeries
 from qsv.expr import (
     INF,
@@ -273,26 +274,29 @@ def test_collapsed_products_and_reciprocals_match_naive(form, h, length):
 
 # -- compiled sum plans ------------------------------------------------------------
 
-# One summand per shape of the sum plan, with the plan's fallback reason
-# (None: the terms are stepped by Pochhammer ratios).
+# One summand per shape of the sum plan, with the number of its parts that
+# are evaluated whole at each term (0: every part is stepped by Pochhammer
+# ratios).
 PLAN_CASES = [
-    ("sum(k=0..inf; poch(a; q^h)_(h*k+1) / poch(q; q^h)_(h*k+1) * z^k)", None),
-    ("sum(k=0..inf; q^k / poch(q; q)_k^2)", None),
-    ("sum(k=0..inf; poch(a; q)_k^2 * z^k / poch(q^2; q^2)_k)", None),
-    ("sum(k=0..inf; (-1)^k * q^(tri(k)) * (1 - q^(k+1)))", None),
-    ("sum(k=0..inf; z^k / ((1 - q^(k+1)) * poch(q; q)_k))", None),
-    ("sum(k=0..inf; z^k / (poch(q; q)_k * (1 + a*q^(2*k+1))))", None),
-    ("sum(k=0..inf; qomega(2)_k * z^k)", None),
-    ("sum(k=0..inf; z^k / qstride(3)_k)", None),
-    ("sum(k=0..inf; poch(1/2*q; q)_k / poch(-1/3*q; q)_k * z^k)", None),
-    ("sum(k=0..inf; poch(b; q)_k / poch(-b*q; q^2)_k * z^k)", None),
-    ("sum(k=0..inf; poch(-1/3; q)_k * z^k / poch(3/2; q)_(2*k))", None),
+    ("sum(k=0..inf; poch(a; q^h)_(h*k+1) / poch(q; q^h)_(h*k+1) * z^k)", 0),
+    ("sum(k=0..inf; q^k / poch(q; q)_k^2)", 0),
+    ("sum(k=0..inf; poch(a; q)_k^2 * z^k / poch(q^2; q^2)_k)", 0),
+    ("sum(k=0..inf; (-1)^k * q^(tri(k)) * (1 - q^(k+1)))", 0),
+    ("sum(k=0..inf; z^k / ((1 - q^(k+1)) * poch(q; q)_k))", 0),
+    ("sum(k=0..inf; z^k / (poch(q; q)_k * (1 + a*q^(2*k+1))))", 0),
+    ("sum(k=0..inf; qomega(2)_k * z^k)", 0),
+    ("sum(k=0..inf; z^k / qstride(3)_k)", 0),
+    ("sum(k=0..inf; poch(1/2*q; q)_k / poch(-1/3*q; q)_k * z^k)", 0),
+    ("sum(k=0..inf; poch(b; q)_k / poch(-b*q; q^2)_k * z^k)", 0),
+    ("sum(k=0..inf; poch(-1/3; q)_k * z^k / poch(3/2; q)_(2*k))", 0),
     ("msum(j, k; poch(w; q^h)_(2*j+k) / (poch(q; q)_j * poch(q; q)_k)"
-     " * q^(j+2*k))", None),
-    ("sum(k=1..inf step 2; poch(a; q)_k / poch(q; q)_k * z^k)", None),
-    ("sum(k=0..inf; q^k * poch(a*q^k; q)_3)", "index in a Pochhammer argument or base"),
-    ("sum(k=0..inf; z^k * sum(j=0..inf; q^(j*(k+1))))", "nested sum"),
-    ("sum(k=0..inf; z^k * poch(1; q)_k)", "Pochhammer argument 1"),
+     " * q^(j+2*k))", 0),
+    ("sum(k=1..inf step 2; poch(a; q)_k / poch(q; q)_k * z^k)", 0),
+    ("sum(k=0..inf; q^k * poch(a*q^k; q)_3)", 1),
+    ("sum(k=0..inf; z^k * sum(j=0..inf; q^(j*(k+1))))", 1),
+    ("sum(k=0..inf; z^k * poch(1; q)_k)", 1),
+    ("sum(k=0..inf; poch(a; q)_k * poch(b*q^k; q)_2 * z^k / poch(w*q^(k+1); q)_inf)", 2),
+    ("sum(k=0..inf; z^k * q^k + q^(k*k))", 1),
 ]
 
 PLAN_PARAMS = [
@@ -303,16 +307,36 @@ PLAN_PARAMS = [
 ]
 
 
-@pytest.mark.parametrize("params", PLAN_PARAMS, ids=["p0", "p1"])
-@pytest.mark.parametrize("text,fallback", PLAN_CASES,
-                         ids=[t for t, _ in PLAN_CASES])
-def test_sum_plan_matches_naive(text, fallback, params):
-    e = parse_expr(text)
-    order = 16
-    env = ExactEnv(order=order, params=params, exps={"h": 2})
-    assert eval_exact(e, env) == to_series(naive_eval(e, env, {}, order), order)
+def _first_plan(e, env):
+    """The plan of the sum e, compiled at its first term."""
     indices = (e.index,) if isinstance(e, Sum) else e.indices
     start = e.start if isinstance(e, Sum) else 0
     plan = SumPlan(ExactEvaluator(env), indices, e.summand)
     plan.term({**env.exps, **{ix: start for ix in indices}})
-    assert plan.fallback == fallback
+    return plan
+
+
+@pytest.mark.parametrize("params", PLAN_PARAMS, ids=["p0", "p1"])
+@pytest.mark.parametrize("text,per_term", PLAN_CASES,
+                         ids=[t for t, _ in PLAN_CASES])
+def test_sum_plan_matches_naive(text, per_term, params):
+    e = parse_expr(text)
+    order = 16
+    env = ExactEnv(order=order, params=params, exps={"h": 2})
+    assert eval_exact(e, env) == to_series(naive_eval(e, env, {}, order), order)
+    plan = _first_plan(e, env)
+    assert sum(kind == "eval" for kind, *_ in plan.steps) == per_term
+
+
+def test_sum_plan_raises_for_a_vanishing_denominator():
+    # 1/(1; q)_k is 1 at k = 0 and has no inverse after; the sum stalls in
+    # the valuation scan before any term, and the plan raises at k = 1
+    e = parse_expr("sum(k=0..inf; z^k / poch(1; q)_k)")
+    env = ExactEnv(order=16, params=PLAN_PARAMS[0])
+    with pytest.raises(ValuationStall, match=r"over 'k' stopped gaining "
+                                             r"q-valuation \(bound stuck at 0\)"):
+        eval_exact(e, env)
+    plan = _first_plan(e, env)
+    assert sum(kind == "eval" for kind, *_ in plan.steps) == 1
+    with pytest.raises(ZeroConstantTerm, match=r"\(x;q\^h\)_k with x = 1 vanishes"):
+        plan.term({"k": 1})

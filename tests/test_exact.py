@@ -1,5 +1,6 @@
 """Exact scalar/series arithmetic against independent oracles."""
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -13,6 +14,7 @@ from qsv.exact import (
     QSeries,
     parse_param_value,
     series_add,
+    series_apply_binomials,
     series_div_binomial,
     series_inv,
     series_monomial,
@@ -198,6 +200,22 @@ def test_binomial_steps_match_reference(c, order):
         assert got.coeffs == tuple(ref_mul_binomial(a, c, e))
         got = series_div_binomial(qs(a, order), c, e)
         assert got.coeffs == tuple(ref_div_binomial(a, c, e))
+    # one stepper call over a mixed run, with e = 0 and e >= order, equals
+    # the single steps in turn and the plain-Fraction loops, normalised
+    run = [(c, 0, False), (c, 2, True), (-c, 1, False), (c / 3, 1, True),
+           (c, order, True), (2 * c, order + 3, False), (-c, 3, True), (c / 2, 0, True)]
+    got = series_apply_binomials(qs(a, order), run)
+    stepped, ref = qs(a, order), list(a)
+    for c_i, e, inverse in run:
+        step = series_div_binomial if inverse else series_mul_binomial
+        stepped = step(stepped, c_i, e)
+        ref = ([x / (1 + c_i) for x in ref] if inverse and e == 0
+               else (ref_div_binomial if inverse else ref_mul_binomial)(ref, c_i, e))
+    assert got == stepped and got.coeffs == tuple(ref)
+    assert got.den > 0 and math.gcd(got.den, *got.nums) == 1
+    if order:  # modulo q^0 every factor is 1
+        with pytest.raises(ZeroConstantTerm):
+            series_apply_binomials(qs(a, order), [(c, 2, False), (F(-1), 0, True)])
 
 
 @pytest.mark.parametrize("order", KERNEL_ORDERS)
