@@ -11,6 +11,10 @@ The entry holds:
   * order scaling: gb-heine's first default exact grid point verified at
     orders 64, 128, 256 and 512, each in a fresh interpreter on
     ``DIR/src``, with its wall time, status and digests;
+  * index scaling: gb-qlauricella-m1, -m2 and -m3 (the multibasic
+    theorem with 1, 2 and 3 summation indices) verified on the numeric
+    backend over their default grids, each in a fresh interpreter on
+    ``DIR/src``, with its wall time and each point's status and digests;
   * the seed, the platform, the Python version and the mpmath version.
 
 It checks nothing.  The bounds live in BENCHMARK.json; this file only
@@ -37,6 +41,8 @@ WORKLOADS = ("exact-catalog", "numeric-catalog", "exact-high-order",
 SCALING_RECORD = "gb-heine"
 SCALING_ORDERS = (64, 128, 256, 512)
 
+INDEX_RECORDS = ("gb-qlauricella-m1", "gb-qlauricella-m2", "gb-qlauricella-m3")
+
 #: run in a fresh interpreter with the tree's src first on the path
 _POINT = """
 import json, sys, time
@@ -47,6 +53,18 @@ start = time.perf_counter()
 report = verify(record, point, backend="exact", order=int(sys.argv[2]))
 print(json.dumps({"seconds": time.perf_counter() - start, "status": report.status,
                   "lhs_digest": report.lhs_digest, "rhs_digest": report.rhs_digest}))
+"""
+
+#: run like _POINT: every default numeric grid point of one record
+_NUMERIC_GRID = """
+import json, sys, time
+from qsv.verifier import default_catalog_path, load_catalog_file, verify_record
+record = {r.id: r for r in load_catalog_file(default_catalog_path())}[sys.argv[1]]
+start = time.perf_counter()
+reports = verify_record(record, backend="numeric")
+print(json.dumps({"seconds": time.perf_counter() - start,
+                  "points": [{"status": r.status, "lhs_digest": r.lhs_digest,
+                              "rhs_digest": r.rhs_digest} for r in reports]}))
 """
 
 
@@ -61,11 +79,11 @@ def run_workload(tree: Path, workload: str, seed: int) -> dict:
             "result": json.loads(lines[-1])}
 
 
-def time_point(tree: Path, order: int) -> dict:
+def run_fresh(tree: Path, script: str, *args) -> dict:
+    """The JSON line that `script` prints in a fresh interpreter on tree/src."""
     env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    out = subprocess.run([sys.executable, "-c", _POINT, SCALING_RECORD, str(order)],
-                         cwd=tree, env=env, capture_output=True, text=True,
-                         check=True).stdout
+    out = subprocess.run([sys.executable, "-c", script, *args], cwd=tree, env=env,
+                         capture_output=True, text=True, check=True).stdout
     return json.loads(out)
 
 
@@ -91,15 +109,20 @@ def main(argv=None) -> int:
         "mpmath": mpmath.__version__,
         "workloads": {},
         "order_scaling": {"record": SCALING_RECORD, "point": 0, "orders": {}},
+        "index_scaling": {"backend": "numeric", "grid": "default", "records": {}},
     }
     for workload in WORKLOADS:
         entry["workloads"][workload] = result = run_workload(tree, workload, args.seed)
         wall = result["result"]["metrics"]["wall_s"]["value"]
         print(f"{args.label} {workload}: wall_s {wall:.3f}", flush=True)
     for order in SCALING_ORDERS:
-        entry["order_scaling"]["orders"][str(order)] = timed = time_point(tree, order)
+        entry["order_scaling"]["orders"][str(order)] = timed = run_fresh(
+            tree, _POINT, SCALING_RECORD, str(order))
         print(f"{args.label} {SCALING_RECORD} order {order}: "
               f"{timed['seconds']:.2f} s", flush=True)
+    for rid in INDEX_RECORDS:
+        entry["index_scaling"]["records"][rid] = timed = run_fresh(tree, _NUMERIC_GRID, rid)
+        print(f"{args.label} {rid} numeric grid: {timed['seconds']:.2f} s", flush=True)
 
     entries = json.loads(args.out.read_text()) if args.out.exists() else []
     entries.append(entry)

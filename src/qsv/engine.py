@@ -11,7 +11,9 @@ Two backends share the same AST:
 
 * numeric -- high-precision complex arithmetic for non-integer base
   exponents; sums stop once a run of small terms plus a geometric tail
-  estimate certify the remainder below tolerance.
+  estimate certify the remainder below tolerance.  Each sum call keeps a
+  NumericPlan: a summand node is evaluated once per value of the indices
+  it mentions, so terms are bit-identical to evaluating it per term.
 """
 
 from __future__ import annotations
@@ -496,9 +498,11 @@ class ExactEvaluator:
             idx += stride
         return total
 
-    def _msum_rates(self, indices, summand, idxenv):
+    def _msum_rates(self, plan, indices, summand, idxenv):
         base = {**idxenv, **{i: 0 for i in indices}}
         lb0 = self.val_lb(summand, base)
+        if lb0 == -_BIG:  # no bound: a vanishing denominator raises its own error
+            plan.term(base)
         rates = []
         for ix in indices:
             lb1 = self.val_lb(summand, {**base, ix: 1})
@@ -514,8 +518,8 @@ class ExactEvaluator:
         N = self.order
         if len(indices) == 1:
             return self._eval_sum(indices[0], 0, 1, summand, idxenv)
-        lb0, rates = self._msum_rates(indices, summand, idxenv)
         plan = SumPlan(self, indices, summand)
+        lb0, rates = self._msum_rates(plan, indices, summand, idxenv)
         total = series_zero(N)
         budget = N - lb0
 
@@ -742,7 +746,21 @@ class NumericEvaluator:
     def eval(self, e: Expr, idxenv=None) -> mpc:
         return self._eval(e, self._bind(idxenv))
 
-    def _eval(self, e: Expr, sym) -> mpc:
+    def _eval(self, e: Expr, sym, plan=None) -> mpc:
+        """e under sym.  Under a sum's plan, a node that does not mention
+        every index of that sum is evaluated once per value of those it
+        does mention."""
+        names = plan.mentions.get(id(e)) if plan is not None else None
+        if names is None:
+            return self._eval_node(e, sym, plan)
+        key = (id(e), *[sym[ix] for ix in names])
+        value = plan.memo.get(key)
+        if value is None:
+            value = plan.memo[key] = self._eval_node(e, sym, plan)
+        return value
+
+    def _eval_node(self, e: Expr, sym, plan) -> mpc:
+        ev = self._eval
         if isinstance(e, Const):
             return mpc(e.value.numerator) / e.value.denominator
         if isinstance(e, Param):
@@ -750,22 +768,22 @@ class NumericEvaluator:
         if isinstance(e, QPow):
             return num.cpow(self.q, self._poly(e.exponent, sym))
         if isinstance(e, Neg):
-            return -self._eval(e.arg, sym)
+            return -ev(e.arg, sym, plan)
         if isinstance(e, Add):
-            return self._eval(e.left, sym) + self._eval(e.right, sym)
+            return ev(e.left, sym, plan) + ev(e.right, sym, plan)
         if isinstance(e, Sub):
-            return self._eval(e.left, sym) - self._eval(e.right, sym)
+            return ev(e.left, sym, plan) - ev(e.right, sym, plan)
         if isinstance(e, Mul):
-            return self._eval(e.left, sym) * self._eval(e.right, sym)
+            return ev(e.left, sym, plan) * ev(e.right, sym, plan)
         if isinstance(e, Div):
-            denom = self._eval(e.right, sym)
+            denom = ev(e.right, sym, plan)
             if denom == 0:
                 raise DivisionByZeroProduct("zero denominator")
-            return num.check_finite(self._eval(e.left, sym) / denom)
+            return num.check_finite(ev(e.left, sym, plan) / denom)
         if isinstance(e, Pow):
-            return num.cpow(self._eval(e.base, sym), self._poly(e.exponent, sym))
+            return num.cpow(ev(e.base, sym, plan), self._poly(e.exponent, sym))
         if isinstance(e, Poch):
-            x = self._eval(e.arg, sym)
+            x = ev(e.arg, sym, plan)
             qbase = self._qbase(self._poly(e.base, sym))
             if e.length is INF:
                 return self._products.inf(x, qbase)
@@ -810,8 +828,10 @@ class NumericEvaluator:
         return self._products.finite(x, qbase, k)
 
     def _eval_sum(self, e: Sum, sym) -> mpc:
+        plan = NumericPlan((e.index,), e.summand)
+
         def term(k):
-            return self._eval(e.summand, {**sym, e.index: e.start + e.stride * k})
+            return self._eval(e.summand, {**sym, e.index: e.start + e.stride * k}, plan)
 
         return num.sum_with_tail_bound(term, self.tol)
 
@@ -820,12 +840,13 @@ class NumericEvaluator:
         m = len(indices)
         if m == 1:
             return self._eval_sum(Sum(indices[0], 0, 1, e.summand), sym)
+        plan = NumericPlan(indices, e.summand)
 
         def shell(d):
             total = mpc(0)
             for assignment in _compositions(d, m):
                 sub_sym = {**sym, **dict(zip(indices, assignment))}
-                total += self._eval(e.summand, sub_sym)
+                total += self._eval(e.summand, sub_sym, plan)
             return total
 
         return num.sum_with_tail_bound(shell, self.tol, max_terms=2000, tail_run=5)
@@ -845,13 +866,33 @@ class NumericEvaluator:
         for nu in range(r):
             w = num.root_of_unity(r, nu)
 
-            def term(k, w=w):
-                value = self._eval(summand, {**sym, index: k})
+            def term(k, w=w, plan=NumericPlan((index,), summand)):
+                value = self._eval(summand, {**sym, index: k}, plan)
                 return value * w ** k
 
             total += num.root_of_unity(r, -nu * s) * num.sum_with_tail_bound(
                 term, self.tol)
         return total / r
+
+
+class NumericPlan:
+    """Per-node facts of one numeric sum's summand, and the values they
+    allow to be kept for the life of that sum call.  `mentions` maps the
+    id of each node that does not mention every index of the sum to the
+    indices it does mention; `memo` keeps such a node's value by its id and
+    the values of those indices.  Nodes under a nested sum are left out:
+    that sum evaluates them under its own plan."""
+
+    __slots__ = ("mentions", "memo")
+
+    def __init__(self, indices, summand):
+        self.mentions, self.memo = {}, {}
+        for node, bound in walk(summand):
+            if not bound:
+                names = free_names(node)
+                mentioned = tuple(ix for ix in indices if ix in names)
+                if len(mentioned) < len(indices):
+                    self.mentions[id(node)] = mentioned
 
 
 def _cnum_values(values: dict) -> dict:

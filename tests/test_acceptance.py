@@ -277,18 +277,33 @@ def test_criterion_12_determinism(tmp_path, capsys):
 #: shipped catalog, with every ``wall_ms`` set to 0
 EXACT_REPORT_SHA256 = "58c854ea4b52fbd66a8a43a315a8495fe155645241350e42a4d3d12f99be22d3"
 
+#: the same for the numeric ``check-all --report`` document
+NUMERIC_REPORT_SHA256 = "6ac26340b6567a97e3ce9c101380261dc1c87b5f3a1bb005bec7ad778ffdd633"
 
-def test_exact_report_digest_is_pinned(tmp_path, capsys):
-    """The exact sweep's report is byte-identical from change to change.
-    The pinned digest changes only when the catalog does: the grids, the
-    verdicts and the coefficient digests are all fixed by its records."""
+
+def _report_digest(tmp_path, capsys, *options):
+    """SHA-256 of the ``check-all --report`` document, wall_ms zeroed."""
     path = tmp_path / "report.json"
-    code = cli_main(["check-all", "--backend", "exact", "--order", "32",
-                     "--report", str(path)])
+    code = cli_main(["check-all", *options, "--report", str(path)])
     capsys.readouterr()
     assert code == 0
     doc = json.loads(path.read_text())
     for entry in doc["results"]:
         entry["wall_ms"] = 0
-    digest = hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(doc, indent=2).encode()).hexdigest()
+
+
+def test_exact_report_digest_is_pinned(tmp_path, capsys):
+    """The exact sweep's report is byte-identical from change to change.
+    The pinned digest changes only when the catalog does: the grids, the
+    verdicts and the coefficient digests are all fixed by its records."""
+    digest = _report_digest(tmp_path, capsys, "--backend", "exact", "--order", "32")
     assert digest == EXACT_REPORT_SHA256
+
+
+def test_numeric_report_digest_is_pinned(tmp_path, capsys):
+    """The numeric sweep's report, value digests and relative differences
+    included, is byte-identical from change to change: a change of
+    rounding anywhere in the numeric backend shows here."""
+    digest = _report_digest(tmp_path, capsys, "--backend", "numeric")
+    assert digest == NUMERIC_REPORT_SHA256

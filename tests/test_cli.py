@@ -138,6 +138,7 @@ identity never {
 @pytest.mark.parametrize("lhs", [
     "q^64 / (poch(2; q)_2 + 1)",
     "sum(k=0..inf; q^(k+64) / (poch(2; q)_2 + 1))",
+    "msum(j, k; q^(j+k+64) / (poch(2; q)_2 + 1))",
 ])
 def test_non_unit_denominator_never_passes(capsys, tmp_path, lhs):
     # the left side is q^63/2 (a Laurent series), not 0: the denominator

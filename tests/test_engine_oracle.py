@@ -1,16 +1,28 @@
 """Dual-route check of the exact evaluator: a deliberately naive
 interpreter (dict-based polynomial arithmetic, fixed generous term
 bounds, no caches, no valuation shortcuts) must produce the same
-truncated series on randomized expressions and on catalog sides."""
+truncated series on randomized expressions and on catalog sides.  The
+numeric sum plans get the same treatment: every sum must equal, bit for
+bit, the sum of its summand evaluated whole at each term."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mpc
 
+from qsv import numeric as num
 from qsv.dsl import parse_expr
-from qsv.engine import ExactEnv, ExactEvaluator, SumPlan, eval_exact
+from qsv.engine import (
+    ExactEnv,
+    ExactEvaluator,
+    NumericEnv,
+    NumericEvaluator,
+    SumPlan,
+    _compositions,
+    eval_exact,
+)
 from qsv.errors import ValuationStall, ZeroConstantTerm
 from qsv.exact import ParamValue, QSeries
 from qsv.expr import (
@@ -30,7 +42,10 @@ from qsv.expr import (
     Sub,
     Sum,
     Theta,
+    free_names,
+    walk,
 )
+from qsv.verifier import default_catalog_path, default_numeric_grid, load_catalog_file
 
 # -- naive reference interpreter -----------------------------------------------
 
@@ -340,3 +355,114 @@ def test_sum_plan_raises_for_a_vanishing_denominator():
     assert sum(kind == "eval" for kind, *_ in plan.steps) == 1
     with pytest.raises(ZeroConstantTerm, match=r"\(x;q\^h\)_k with x = 1 vanishes"):
         plan.term({"k": 1})
+
+
+# -- numeric sum plans ---------------------------------------------------------
+
+
+class PlainNumeric(NumericEvaluator):
+    """The numeric evaluator without sum plans: every term evaluates the
+    whole summand, through the same tail-bounded loop and shell order."""
+
+    def _eval(self, e, sym, plan=None):
+        return self._eval_node(e, sym, None)
+
+    def _eval_sum(self, e, sym):
+        return num.sum_with_tail_bound(
+            lambda k: self._eval(e.summand, {**sym, e.index: e.start + e.stride * k}),
+            self.tol)
+
+    def _eval_msum(self, e, sym):
+        if len(e.indices) == 1:
+            return self._eval_sum(Sum(e.indices[0], 0, 1, e.summand), sym)
+
+        def shell(d):
+            total = mpc(0)
+            for assignment in _compositions(d, len(e.indices)):
+                total += self._eval(e.summand, {**sym, **dict(zip(e.indices, assignment))})
+            return total
+
+        return num.sum_with_tail_bound(shell, self.tol, max_terms=2000, tail_run=5)
+
+
+def bits(z):
+    """The exact binary value of an mpc, so that equality means every bit."""
+    return z.real._mpf_, z.imag._mpf_
+
+
+def outer_sums(e):
+    return [node for node, bound in walk(e)
+            if not bound and isinstance(node, (Sum, MultiSum))]
+
+
+NUMERIC_RECORDS = {r.id: r for r in load_catalog_file(default_catalog_path())
+                   if outer_sums(r.lhs) or outer_sums(r.rhs)}
+
+
+@pytest.mark.parametrize("rid", sorted(NUMERIC_RECORDS))
+def test_numeric_plan_matches_plain_sum_on_catalog(rid):
+    record = NUMERIC_RECORDS[rid]
+    points = default_numeric_grid(record)
+    if not points:
+        pytest.skip("no admissible numeric grid point")
+    point = points[0]
+    env = NumericEnv(q=point.q, params=point.params, exps=point.exps)
+    for node in outer_sums(record.lhs) + outer_sums(record.rhs):
+        assert bits(NumericEvaluator(env).eval(node)) == bits(PlainNumeric(env).eval(node))
+
+
+NUMERIC_PLAN_CASES = {
+    # an inner sum whose summand mentions the outer index
+    "nested": "sum(k=0..inf; z^k / poch(q; q)_k"
+    " * sum(j=0..inf; poch(a; q)_j / poch(q; q)_j * b^j * q^(j*(k+1))))",
+    # factors in one, two and all three indices, and index-free ones
+    "three-indices": "msum(k1, k2, k3; poch(a; q)_k1 / poch(q; q)_k1 * z^k1"
+    " * poch(b; q^2)_(k2+k3) * q^(k2*k3) * c^k2 / (1 - c*q^(k2+1))"
+    " * poch(w; q)_(k1+k2+k3) / poch(c*w; q)_(k1+k2+k3) * b^k3 * poch(a*b; q)_inf)",
+    # complex lengths, one coupled across the indices
+    "complex-length": "sum(k=0..inf; poch(a; q^h)_(h*k) / poch(q^h; q^h)_k * z^k)",
+    "coupled-complex-length": "msum(j, k; poch(a; q^h)_j / poch(q^h; q^h)_j * poch(b; q^t)_k / poch(q^t; q^t)_k"
+    " * poch(w; q)_(h*j+t*k) / poch(c*w; q)_(h*j+t*k) * z^j * b^k)",
+}
+
+NUMERIC_PLAN_POINTS = [
+    NumericEnv(q=0.3, params={"a": 0.4, "b": -0.2, "c": 0.15, "w": 0.5, "z": 0.2},
+               exps={"h": 0.5, "t": 1.5}),
+    NumericEnv(q=0.2 + 0.1j, params={"a": -0.5, "b": 0.1 + 0.15j, "c": 0.15, "w": -0.4,
+                                     "z": 0.2j}, exps={"h": 1.25 + 0.25j, "t": 2}),
+]
+
+
+@pytest.mark.parametrize("case", NUMERIC_PLAN_CASES)
+def test_numeric_plan_matches_plain_sum(case):
+    # one summand at two grid points: a plan kept past its own sum call
+    # would hand the second point values of the first
+    e = parse_expr(NUMERIC_PLAN_CASES[case])
+    for env in NUMERIC_PLAN_POINTS:
+        assert bits(NumericEvaluator(env).eval(e)) == bits(PlainNumeric(env).eval(e))
+
+
+def test_numeric_plan_matches_plain_sum_sectioned_roots():
+    summand = parse_expr("poch(a; q)_k / poch(q; q)_k * z^k * poch(b; q)_inf")
+    env = NUMERIC_PLAN_POINTS[0]
+    for r, s in ((2, 1), (3, 0)):
+        got = NumericEvaluator(env).sum_sectioned_roots(summand, "k", r, s)
+        assert bits(got) == bits(PlainNumeric(env).sum_sectioned_roots(summand, "k", r, s))
+
+
+def test_numeric_plan_evaluates_a_one_index_factor_once_per_value(monkeypatch):
+    e = parse_expr("msum(k1, k2, k3; poch(a; q)_k1 * z^k1 * poch(b; q)_k2 * b^k2"
+                   " * poch(w; q)_(k1+k2+k3) * c^k3)")
+    factor = next(node for node, _ in walk(e) if isinstance(node, Poch)
+                  and free_names(node) & {"k1", "k2", "k3"} == {"k1"})
+    seen = []
+    eval_node = NumericEvaluator._eval_node
+
+    def counting(self, node, sym, plan):
+        if node is factor:
+            seen.append(sym["k1"])
+        return eval_node(self, node, sym, plan)
+
+    monkeypatch.setattr(NumericEvaluator, "_eval_node", counting)
+    NumericEvaluator(NUMERIC_PLAN_POINTS[0]).eval(e)
+    assert len(seen) == len(set(seen)) > 5
