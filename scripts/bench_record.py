@@ -12,9 +12,10 @@ The entry holds:
     orders 64, 128, 256 and 512, each in a fresh interpreter on
     ``DIR/src``, with its wall time, status and digests;
   * index scaling: gb-qlauricella-m1, -m2 and -m3 (the multibasic
-    theorem with 1, 2 and 3 summation indices) verified on the numeric
-    backend over their default grids, each in a fresh interpreter on
-    ``DIR/src``, with its wall time and each point's status and digests;
+    theorem with 1, 2 and 3 summation indices) verified over their default
+    grids on the numeric backend, and on the exact backend at order 64,
+    each in a fresh interpreter on ``DIR/src``, with its wall time and each
+    point's status and digests;
   * the seed, the platform, the Python version and the mpmath version.
 
 It checks nothing.  The bounds live in BENCHMARK.json; this file only
@@ -43,6 +44,9 @@ SCALING_ORDERS = (64, 128, 256, 512)
 
 INDEX_RECORDS = ("gb-qlauricella-m1", "gb-qlauricella-m2", "gb-qlauricella-m3")
 
+#: truncation order of the exact index scaling (the catalog sweep's order)
+INDEX_ORDER = 64
+
 #: run in a fresh interpreter with the tree's src first on the path
 _POINT = """
 import json, sys, time
@@ -55,13 +59,14 @@ print(json.dumps({"seconds": time.perf_counter() - start, "status": report.statu
                   "lhs_digest": report.lhs_digest, "rhs_digest": report.rhs_digest}))
 """
 
-#: run like _POINT: every default numeric grid point of one record
-_NUMERIC_GRID = """
+#: run like _POINT: every default grid point of one record on one backend
+#: (the order is read by the exact backend only)
+_GRID = """
 import json, sys, time
 from qsv.verifier import default_catalog_path, load_catalog_file, verify_record
 record = {r.id: r for r in load_catalog_file(default_catalog_path())}[sys.argv[1]]
 start = time.perf_counter()
-reports = verify_record(record, backend="numeric")
+reports = verify_record(record, backend=sys.argv[2], order=int(sys.argv[3]))
 print(json.dumps({"seconds": time.perf_counter() - start,
                   "points": [{"status": r.status, "lhs_digest": r.lhs_digest,
                               "rhs_digest": r.rhs_digest} for r in reports]}))
@@ -110,6 +115,8 @@ def main(argv=None) -> int:
         "workloads": {},
         "order_scaling": {"record": SCALING_RECORD, "point": 0, "orders": {}},
         "index_scaling": {"backend": "numeric", "grid": "default", "records": {}},
+        "exact_index_scaling": {"backend": "exact", "order": INDEX_ORDER,
+                                "grid": "default", "records": {}},
     }
     for workload in WORKLOADS:
         entry["workloads"][workload] = result = run_workload(tree, workload, args.seed)
@@ -120,9 +127,11 @@ def main(argv=None) -> int:
             tree, _POINT, SCALING_RECORD, str(order))
         print(f"{args.label} {SCALING_RECORD} order {order}: "
               f"{timed['seconds']:.2f} s", flush=True)
-    for rid in INDEX_RECORDS:
-        entry["index_scaling"]["records"][rid] = timed = run_fresh(tree, _NUMERIC_GRID, rid)
-        print(f"{args.label} {rid} numeric grid: {timed['seconds']:.2f} s", flush=True)
+    for key, backend in (("index_scaling", "numeric"), ("exact_index_scaling", "exact")):
+        for rid in INDEX_RECORDS:
+            entry[key]["records"][rid] = timed = run_fresh(
+                tree, _GRID, rid, backend, str(INDEX_ORDER))
+            print(f"{args.label} {rid} {backend} grid: {timed['seconds']:.2f} s", flush=True)
 
     entries = json.loads(args.out.read_text()) if args.out.exists() else []
     entries.append(entry)

@@ -2,11 +2,12 @@
 
 Two backends share the same AST:
 
-* exact -- truncated formal power series over Q.  Infinite sums stop via
-  q-adic valuation: a cheap structural lower bound on each term's
-  valuation lets the loop skip terms that cannot touch coefficients below
-  the truncation order and stop once that bound stays beyond it.  A
-  substitution whose terms never gain valuation (a sum driver with
+* exact -- truncated formal power series over Q.  Each sum compiles a
+  lower bound on its terms' q-adic valuation once, as a min of
+  polynomials in its indices, and skips and stops by it: a term whose
+  bound reaches the truncation order is skipped, and an index stops only
+  where the bound has reached the order and is provably increasing.  A
+  substitution whose terms need not gain valuation (a sum driver with
   qpow 0) raises ValuationStall instead of looping.
 
 * numeric -- high-precision complex arithmetic for non-integer base
@@ -18,6 +19,8 @@ Two backends share the same AST:
 
 from __future__ import annotations
 
+import itertools
+import math
 import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -28,6 +31,7 @@ from mpmath import mpc
 from . import numeric as num
 from .errors import (
     DivisionByZeroProduct,
+    NonConvergence,
     NonIntegerExponent,
     NonTruncatable,
     TermCapExceeded,
@@ -73,7 +77,7 @@ from .expr import (
     free_names,
     walk,
 )
-from .intpoly import IntPoly
+from .intpoly import ZERO, IntPoly, increasing_from
 from .qkernel import (
     ThetaKind,
     omega_collapse,
@@ -87,16 +91,11 @@ from .qkernel import (
     theta_series,
 )
 
-#: consecutive skipped terms (valuation bound >= order) before a sum stops
-STOP_RUN = 4
-
-#: terms without a rise in q-valuation before a sum raises ValuationStall
-STALL_LIMIT = 1000
-
 #: iteration safety cap for exact sums
 MAX_EXACT_TERMS = 200_000
 
-_BIG = 10 ** 9
+#: total-term cap for numeric multisums, whose shells grow with their size
+MAX_NUMERIC_MSUM_TERMS = 30_000
 
 _ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 _ONE = ParamValue(Fraction(1), 0)
@@ -238,42 +237,88 @@ class ExactEvaluator:
             return Fraction(1)
         return None
 
-    def val_lb(self, e: Expr, idxenv) -> int:
-        """Cheap lower bound on the q-adic valuation of e; >= order means
-        the term cannot contribute.  No series arithmetic involved."""
+    def val_lb(self, e: Expr, idxenv, indices):
+        """A lower bound on the q-adic valuation of e at every value of the
+        summation `indices`, compiled once with every other symbol bound by
+        idxenv: (polys, guards), the valuation being at least the min of the
+        polys (in the indices; no polys: e is zero) wherever no guard is 0,
+        or None when a denominator's constant term may vanish."""
+        names = frozenset(indices)
+        env = {k: v for k, v in idxenv.items() if k not in names}
+        guards = []
+        polys = self._bound(e, env, names, guards)
+        return None if polys is None else (polys, tuple(dict.fromkeys(guards)))
+
+    def _bound(self, e: Expr, env, names, guards):
+        """val_lb's recursion: a tuple of IntPolys or None.  A monomial
+        c*q^p gets (p,), its exact valuation, or () when c = 0."""
         if isinstance(e, Const):
-            return _BIG if e.value == 0 else 0
+            return () if e.value == 0 else (ZERO,)
         if isinstance(e, Param):
             pv = self._param(e.name)
-            return _BIG if pv.coeff == 0 else pv.qpow
+            return () if pv.coeff == 0 else (IntPoly.const(pv.qpow),)
         if isinstance(e, QPow):
-            v = e.exponent.eval_int(idxenv)
-            return max(v, 0)
+            return (e.exponent.subst(env),)
         if isinstance(e, Neg):
-            return self.val_lb(e.arg, idxenv)
-        if isinstance(e, (Add, Sub)):
-            return min(self.val_lb(e.left, idxenv), self.val_lb(e.right, idxenv))
-        if isinstance(e, Mul):
-            return min(self.val_lb(e.left, idxenv) + self.val_lb(e.right, idxenv), _BIG)
+            return self._bound(e.arg, env, names, guards)
+        if isinstance(e, (Add, Sub, Mul)):
+            a = self._bound(e.left, env, names, guards)
+            b = self._bound(e.right, env, names, guards)
+            if isinstance(e, Mul) and (a == () or b == ()):
+                return ()
+            if a is None or b is None:
+                return None
+            polys = [p + r for p in a for r in b] if isinstance(e, Mul) else a + b
+            return tuple(dict.fromkeys(polys))
         if isinstance(e, Div):
-            c = self.const0(e.right, idxenv)
-            if c is None or c == 0:
-                return -_BIG
-            return self.val_lb(e.left, idxenv)
+            a = self._bound(e.left, env, names, guards)
+            if not a:  # zero, or no bound
+                return a
+            if _is_monomial(e.right):
+                d = self._bound(e.right, env, names, guards)
+                return tuple(p - d[0] for p in a) if d else None
+            return a if self._nonzero(e.right, env, names, guards) else None
         if isinstance(e, Pow):
-            n = e.exponent.eval_int(idxenv)
-            m = self.monomial(e.base, idxenv)
-            if m is not None:
-                if m.coeff == 0:
-                    return _BIG if n > 0 else 0
-                return n * m.qpow
-            if n >= 0:
-                return min(n * max(self.val_lb(e.base, idxenv), 0), _BIG)
-            c = self.const0(e.base, idxenv)
-            return 0 if c not in (None, 0) else -_BIG
-        if isinstance(e, (Poch, OmegaProd, StrideProd, Theta, Sum, MultiSum)):
-            return 0
-        raise TypeError(f"unknown expression node {e!r}")
+            n = e.exponent.subst(env)
+            fixed = n.const_value() if n.is_const() else None
+            if _is_monomial(e.base) or (fixed is not None and fixed >= 0):
+                b = self._bound(e.base, env, names, guards)
+                if b == ():  # 0^n
+                    return (ZERO,) if fixed is None or fixed == 0 else () if fixed > 0 else None
+                return None if b is None else tuple(dict.fromkeys(p * n for p in b))
+            return (ZERO,) if self._nonzero(e.base, env, names, guards) else None
+        return (ZERO,)  # a product symbol, theta or nested sum: a power series
+
+    def _nonzero(self, e: Expr, env, names, guards) -> bool:
+        """Whether e's constant term is provably nonzero wherever no
+        polynomial appended to guards is 0: an index-free e by const0,
+        once; 1 +- c*q^p or a Pochhammer argument c*q^p by the guard p."""
+        if free_names(e).isdisjoint(names):
+            return self.const0(e, env) not in (None, 0)
+        if isinstance(e, (Neg, Pow)):
+            return self._nonzero(e.arg if isinstance(e, Neg) else e.base, env, names, guards)
+        if isinstance(e, (Mul, Div)):
+            return (self._nonzero(e.left, env, names, guards)
+                    and self._nonzero(e.right, env, names, guards))
+        if isinstance(e, (OmegaProd, StrideProd, Theta)):
+            return True
+        if isinstance(e, Poch):
+            if free_names(e.arg).isdisjoint(names):
+                return self.const0(e.arg, env) not in (None, 1)
+            mono = e.arg
+        elif isinstance(e, (Add, Sub)) and free_names(e.left).isdisjoint(names):
+            if self.const0(e.left, env) in (None, 0):
+                return False
+            mono = e.right
+        else:
+            return False
+        if not _is_monomial(mono):
+            return False
+        b = self._bound(mono, env, names, guards)
+        if b and b[0].is_const():
+            return b[0].const_value() > 0
+        guards += b
+        return True
 
     # -- evaluation ---------------------------------------------------------------
 
@@ -309,9 +354,9 @@ class ExactEvaluator:
             kind = ThetaKind.PSI if e.kind == "psi" else ThetaKind.PHI_MINUS
             return theta_series(kind, N)
         if isinstance(e, Sum):
-            return self._eval_sum(e.index, e.start, e.stride, e.summand, idxenv)
+            return self._eval_sum((e.index,), e.start, e.stride, e.summand, idxenv)
         if isinstance(e, MultiSum):
-            return self._eval_msum(e.indices, e.summand, idxenv)
+            return self._eval_sum(tuple(e.indices), 0, 1, e.summand, idxenv)
         raise TypeError(f"unknown expression node {e!r}")
 
     def _flatten_product(self, e, inverted, out):
@@ -427,131 +472,26 @@ class ExactEvaluator:
 
     # -- sums -------------------------------------------------------------------
 
-    def _stall_preflight(self, plan, index, start, stride, idxenv):
-        """Scan the valuation bound along the index before evaluating
-        anything; a bound that never rises within the stall window means
-        the substitution is outside the formal domain.  A first term with
-        no bound at all (a denominator whose constant term is not known to
-        be nonzero) is evaluated, so that a vanishing denominator raises
-        its own error rather than a stall."""
-        N = self.order
-        floor = None
-        stalled = 0
-        idx = start
-        for _ in range(STALL_LIMIT + 1):
-            sub_idx = {**idxenv, index: idx}
-            lb = self.val_lb(plan.summand, sub_idx)
-            if lb >= N:
-                return
-            if floor is None and lb == -_BIG:
-                plan.term(sub_idx)
-            if floor is None or lb > floor:
-                floor = lb
-                stalled = 0
-            else:
-                stalled += 1
-                if stalled >= STALL_LIMIT:
-                    raise ValuationStall(
-                        f"terms of the sum over {index!r} stopped gaining "
-                        f"q-valuation (bound stuck at {floor})"
-                    )
-            idx += stride
-        # The bound kept rising through the whole window; treat as healthy.
-
-    def _eval_sum(self, index, start, stride, summand, idxenv) -> QSeries:
-        N = self.order
-        plan = SumPlan(self, (index,), summand)
-        self._stall_preflight(plan, index, start, stride, idxenv)
-        total = series_zero(N)
-        idx = start
-        beyond = 0
-        vmax = -1
-        stall = 0
-        iterations = 0
-        while True:
-            iterations += 1
-            if iterations > MAX_EXACT_TERMS:
-                raise TermCapExceeded(f"sum over {index!r} exceeded the term cap "
-                                      f"of {MAX_EXACT_TERMS}")
-            sub_idx = {**idxenv, index: idx}
-            lb = self.val_lb(summand, sub_idx)
-            if lb >= N:
-                beyond += 1
-                if beyond >= STOP_RUN:
-                    break
-                idx += stride
-                continue
-            beyond = 0
-            term = plan.term(sub_idx)
-            total = series_add(total, term)
-            v = term.valuation()
-            if v > vmax:
-                vmax = v
-                stall = 0
-            else:
-                stall += 1
-                if stall >= STALL_LIMIT:
-                    raise ValuationStall(
-                        f"terms of the sum over {index!r} stopped gaining "
-                        f"q-valuation at {vmax}"
-                    )
-            idx += stride
-        return total
-
-    def _msum_rates(self, plan, indices, summand, idxenv):
-        base = {**idxenv, **{i: 0 for i in indices}}
-        lb0 = self.val_lb(summand, base)
-        if lb0 == -_BIG:  # no bound: a vanishing denominator raises its own error
-            plan.term(base)
-        rates = []
-        for ix in indices:
-            lb1 = self.val_lb(summand, {**base, ix: 1})
-            rate = lb1 - lb0
-            if rate < 1:
-                raise ValuationStall(
-                    f"multisum index {ix!r} gains no q-valuation per step"
-                )
-            rates.append(rate)
-        return max(lb0, 0), rates
-
-    def _eval_msum(self, indices, summand, idxenv) -> QSeries:
-        N = self.order
-        if len(indices) == 1:
-            return self._eval_sum(indices[0], 0, 1, summand, idxenv)
-        plan = SumPlan(self, indices, summand)
-        lb0, rates = self._msum_rates(plan, indices, summand, idxenv)
-        total = series_zero(N)
-        budget = N - lb0
-
-        def enumerate_rec(pos, assignment, spent):
-            nonlocal total
-            if pos == len(indices):
-                sub_idx = {**idxenv, **assignment}
-                if self.val_lb(summand, sub_idx) >= N:
-                    return
-                total = series_add(total, plan.term(sub_idx))
-                return
-            ix, rate = indices[pos], rates[pos]
-            k = 0
-            while spent + rate * k <= budget:
-                assignment[ix] = k
-                enumerate_rec(pos + 1, assignment, spent + rate * k)
-                k += 1
-            assignment.pop(ix, None)
-
-        enumerate_rec(0, {}, 0)
+    def _eval_sum(self, indices, start, stride, summand, idxenv) -> QSeries:
+        """Each index runs through start, start + stride, ...: `SumPlan.points`."""
+        plan = SumPlan(self, indices, summand, idxenv)
+        total = series_zero(self.order)
+        for sub_idx in plan.points(idxenv, start, stride):
+            total = series_add(total, plan.term(sub_idx))
         return total
 
     def sum_sectioned(self, summand, index, r, s, idxenv=None) -> QSeries:
         """Sum over index = s, s+r, s+2r, ... by direct stride enumeration."""
         if r < 1 or not (0 <= s < r):
             raise ValueError("need r >= 1 and 0 <= s < r")
-        return self._eval_sum(index, s, r, summand, self._bind(idxenv))
+        return self._eval_sum((index,), s, r, summand, self._bind(idxenv))
 
 
 class SumPlan:
-    """The summand of one sum or msum, compiled at its first term, so that a
-    term costs a few O(N) binomial steps instead of an O(N^2) product.
+    """The summand of one sum or msum.  Its valuation bound (`bound`,
+    `guards`), compiled when the plan is made, decides which terms are
+    evaluated (`points`); its parts, compiled at its first term, make a
+    term cost a few O(N) binomial steps instead of an O(N^2) product.
 
     Catalog summands are q-hypergeometric in their indices.  Of the parts
     `_eval_product` sees, monomials are evaluated per term (once if
@@ -568,9 +508,86 @@ class SumPlan:
     and multiplied in.  Parts are evaluated in product order, so a term
     raises what `_eval` of the summand raises."""
 
-    def __init__(self, ev: ExactEvaluator, indices, summand):
+    def __init__(self, ev: ExactEvaluator, indices, summand, idxenv):
+        compiled = ev.val_lb(summand, idxenv, indices)
+        self.bound, self.guards = compiled or (None, ())
         self.ev, self.indices, self.summand = ev, tuple(indices), summand
         self.parts = None
+
+    def points(self, idxenv, start=0, stride=1):
+        """The index environments of the terms to evaluate, each index
+        running through start, start + stride, ... in lexicographic order.
+
+        Every polynomial of the bound (in the steps j, index = start +
+        stride*j) must reach the order, and every guard 1, before a term is
+        skipped.  A polynomial splits into a constant, one part per index
+        and cross terms, which must have positive coefficients and count as
+        0; the lowest value the completions of a prefix can reach is the
+        constant, the parts of the fixed indices and the minimum over j >= 0
+        of each free part.  A prefix is skipped when that reaches every
+        threshold, and an index stops once it does past the Cauchy root
+        bound of every part's derivative, where every part increases.  A
+        polynomial that need not reach its threshold along some index
+        raises ValuationStall; with no bound the first term is evaluated, so
+        that a vanishing denominator raises its own error, and then
+        ValuationStall is raised."""
+        indices, N = self.indices, self.ev.order
+
+        def at(js):
+            return {**idxenv, **{ix: start + stride * j for ix, j in zip(indices, js)}}
+
+        def stall(ix, detail):
+            return ValuationStall(f"terms of the sum over {ix!r} stopped gaining "
+                                  f"q-valuation ({detail})")
+
+        if self.bound is None:
+            yield at((0,) * len(indices))
+            raise stall(indices[0], "no valuation bound")
+        by_step = {ix: IntPoly.const(start) + IntPoly.symbol(ix) * stride for ix in indices}
+        rows, K = [], [-1] * len(indices)
+        for p, least, kind in ([(p, N, "bound") for p in self.bound]
+                               + [(g, 1, "guard") for g in self.guards]):
+            what = f"{kind} {p.render()}"
+            den, const, parts, positive = _int_parts(
+                p if (start, stride) == (0, 1) else p.subst(by_step), indices)
+            if not positive:
+                raise stall(", ".join(indices), f"{what} has a negative cross term")
+            rises = []
+            for ix, f in zip(indices, parts):
+                if f[-1] < 0:
+                    raise stall(ix, what)
+                rises.append(increasing_from(f))
+                if rises[-1] >= MAX_EXACT_TERMS:
+                    raise TermCapExceeded(f"sum over {ix!r} exceeded the term cap "
+                                          f"of {MAX_EXACT_TERMS}")
+            lows = [min(_horner(f, k) for k in range(r + 2)) for f, r in zip(parts, rises)]
+            need = den * least - const
+            if sum(lows) >= need:
+                continue  # at or past its threshold at every term
+            for j, (ix, f) in enumerate(zip(indices, parts)):
+                if len(f) < 2:
+                    raise stall(ix, what)
+                K[j] = max(K[j], rises[j])
+            rows.append((need, parts, [sum(lows[j + 1:]) for j in range(len(lows))]))
+        visits = 0
+
+        def descend(j, fixed, prefix):
+            nonlocal visits
+            for k in itertools.count():
+                visits += 1
+                if visits > MAX_EXACT_TERMS:
+                    raise TermCapExceeded(f"sum over {indices[j]!r} exceeded the term "
+                                          f"cap of {MAX_EXACT_TERMS}")
+                here = [fx + _horner(parts[j], k) for fx, (_, parts, _) in zip(fixed, rows)]
+                if all(h + rest[j] >= need for h, (need, _, rest) in zip(here, rows)):
+                    if k > K[j]:
+                        return
+                elif j + 1 == len(indices):
+                    yield at(prefix + (k,))
+                else:
+                    yield from descend(j + 1, here, prefix + (k,))
+
+        yield from descend(0, [0] * len(rows), ())
 
     def term(self, idxenv) -> QSeries:
         """The summand under idxenv, which binds every index of the sum."""
@@ -599,7 +616,9 @@ class SumPlan:
             start = series_mul_many(fixed) if fixed else series_one(ev.order)
             self._levels = [((0,) * len(self.chains), start)] * len(self.indices)
         series = self._move(tuple(idxenv[ix] for ix in self.indices), lengths)
-        series = series_apply_binomials(series.truncate(reduced), binomials)
+        series = series.truncate(reduced)
+        if binomials:
+            series = series_apply_binomials(series, binomials)
         return series_mul_many([series, *evaluated]) if evaluated else series
 
     def _move(self, values, lengths) -> QSeries:
@@ -609,13 +628,13 @@ class SumPlan:
                      len(values) - 1)
         have, series = self._levels[level]
         factors = []
-        for (x, h, power), old, new in zip(self.chains, have, lengths):
+        for (c, e0, h, power), old, new in zip(self.chains, have, lengths):
             inverse = (new > old) != (power > 0)
             for i in range(min(old, new), max(old, new)):
-                e = x.qpow + h * i
+                e = e0 + h * i
                 if e >= series.order:
                     break  # this factor and all later ones are 1 mod q^N
-                factors += [(-x.coeff, e, inverse)] * abs(power)
+                factors += [(c, e, inverse)] * abs(power)
         series = series_apply_binomials(series, factors)
         self._levels[level:] = [(lengths, series)] * (len(values) - level)
         self._last = values
@@ -663,14 +682,13 @@ class SumPlan:
             x = ev.monomial(node.arg, idxenv)
             if x is None or (x.qpow == 0 and x.coeff == 1):
                 return whole
-            self.chains.append((x, ev._base_exp(node.base, idxenv), power))
+            self.chains.append((-x.coeff, x.qpow, ev._base_exp(node.base, idxenv), power))
             return ("chain", node.length, lambda n: (n,), None)
         if isinstance(node, (OmegaProd, StrideProd)) and node.h.symbols().isdisjoint(names):
             h = ev._base_exp(node.h, idxenv)
             collapse = omega_collapse if isinstance(node, OmegaProd) else stride_collapse
             (a, b, _), (c, d, _) = collapse(0, h)
-            self.chains += [(ParamValue(Fraction(1), a), b, power),
-                            (ParamValue(Fraction(1), c), d, -power)]
+            self.chains += [(-1, a, b, power), (-1, c, d, -power)]
             return ("chain", node.length, lambda n: [t[2] for t in collapse(n, h)], None)
         if (isinstance(node, (Add, Sub)) and free_names(node.left).isdisjoint(names)
                 and ev.monomial(node.left, idxenv) == ParamValue(Fraction(1), 0)
@@ -678,6 +696,45 @@ class SumPlan:
                 and not any(isinstance(n, Div) for n, _ in walk(node.right))):
             return ("binomial", node.right, 1 if isinstance(node, Add) else -1, inv)
         return whole
+
+
+def _is_monomial(e: Expr) -> bool:
+    """Whether e has the shape `ExactEvaluator.monomial` evaluates."""
+    if isinstance(e, (Const, Param, QPow)):
+        return True
+    if isinstance(e, (Mul, Div)):
+        return _is_monomial(e.left) and _is_monomial(e.right)
+    return isinstance(e, (Neg, Pow)) and _is_monomial(e.arg if isinstance(e, Neg) else e.base)
+
+
+def _int_parts(p: IntPoly, indices):
+    """p times the lcm `den` of its coefficients' denominators, split as
+    (den, constant, [coefficients, low to high, of the part in each index
+    alone], whether every cross term is positive), all in integers."""
+    den = math.lcm(*(c.denominator for c in p.terms.values()))
+    const, parts, positive = 0, [[0] for _ in indices], True
+    for mono, c in p.terms.items():
+        c = int(c * den)
+        for s, _ in mono:
+            if s not in indices:
+                raise UnknownName(f"unbound exponent symbol {s!r}")
+        if len(mono) == 1:
+            (s, d), = mono
+            part = parts[indices.index(s)]
+            part.extend([0] * (d + 1 - len(part)))
+            part[d] = c
+        elif mono:
+            positive = positive and c > 0
+        else:
+            const = c
+    return den, const, parts, positive
+
+
+def _horner(coeffs, x):
+    value = 0
+    for c in reversed(coeffs):
+        value = value * x + c
+    return value
 
 
 def eval_exact(e: Expr, env: ExactEnv) -> QSeries:
@@ -841,8 +898,14 @@ class NumericEvaluator:
         if m == 1:
             return self._eval_sum(Sum(indices[0], 0, 1, e.summand), sym)
         plan = NumericPlan(indices, e.summand)
+        terms = 0
 
         def shell(d):
+            nonlocal terms
+            terms += math.comb(d + m - 1, m - 1)
+            if terms > MAX_NUMERIC_MSUM_TERMS:
+                raise NonConvergence(f"multisum did not converge within "
+                                     f"{MAX_NUMERIC_MSUM_TERMS} terms")
             total = mpc(0)
             for assignment in _compositions(d, m):
                 sub_sym = {**sym, **dict(zip(indices, assignment))}

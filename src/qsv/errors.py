@@ -25,7 +25,8 @@ class NonTruncatable(QsvError):
 
 
 class ValuationStall(QsvError):
-    """An infinite sum whose terms stop gaining q-valuation; signals a
+    """An infinite sum whose terms are not proven to gain q-valuation (its
+    valuation bound need not reach the order, or it has none); signals a
     substitution outside the formal domain (e.g. a sum ratio with qpow 0)."""
 
 

@@ -200,9 +200,9 @@ def series_mul(f: QSeries, g: QSeries) -> QSeries:
 
 def series_apply_binomials(f: QSeries, factors) -> QSeries:
     """f times (1 + c*q^e), or divided by it where inverse, for each
-    (c, e, inverse) in factors: O(N) integer operations per factor and one
-    gcd normalisation at the end.  Factors with e >= f.order are 1 modulo
-    q^N and skipped.
+    (c, e, inverse) in factors (c an int or a Fraction): O(N) integer
+    operations per factor and one gcd normalisation at the end.  Factors
+    with e >= f.order are 1 modulo q^N and skipped.
 
     With c = p/d a product has the numerators d*a[i] + p*a[i-e] over d*den.
     A quotient g satisfies g[i] = a[i] - c*g[i-e] (e >= 1); the integers
@@ -215,7 +215,6 @@ def series_apply_binomials(f: QSeries, factors) -> QSeries:
             raise NegativeQPower(f"binomial factor with negative q-power {e}")
         if e >= n or not c:
             continue
-        c = Fraction(c)
         p, d = c.numerator, c.denominator
         if e == 0:
             # the scalar 1 + c = (d + p)/d, or its reciprocal

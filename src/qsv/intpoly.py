@@ -235,3 +235,12 @@ def _mono_mul(m1, m2):
 
 ZERO = IntPoly()
 ONE = IntPoly.const(1)
+
+
+def increasing_from(coeffs) -> int:
+    """An integer K past which sum(coeffs[i] * x^i), of positive leading
+    coefficient, increases: Cauchy's root bound of its derivative, or -1."""
+    der = [i * c for i, c in enumerate(coeffs)][1:]
+    if len(der) < 2:
+        return -1
+    return math.floor(1 + max(abs(Fraction(c, der[-1])) for c in der[:-1]))

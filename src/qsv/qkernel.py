@@ -42,8 +42,9 @@ def _chain(x: ParamValue, h: int, k, order: int, inverse: bool) -> QSeries:
     all of them)."""
     below = max(-(-(order - x.qpow) // h), 0)
     count = below if k is None else min(k, below)
+    c = -x.coeff
     return series_apply_binomials(
-        series_one(order), [(-x.coeff, x.qpow + h * i, inverse) for i in range(count)])
+        series_one(order), [(c, x.qpow + h * i, inverse) for i in range(count)])
 
 
 def poch_finite(x: ParamValue, h: int, k: int, order: int) -> QSeries:

@@ -184,6 +184,8 @@ def _admissible_exact(record: IdentityRecord, params, exps) -> bool:
         eval_exact(record.rhs, env)
     except QsvError:
         return False
+    except Exception:  # a fault of qsv itself: verify reports it with its cause
+        return True
     return True
 
 
@@ -294,7 +296,9 @@ def value_digest(z) -> str:
 def verify(record: IdentityRecord, point: GridPoint, *, backend: str = "exact",
            order: int = DEFAULT_ORDER, tol: float = num.IDENTITY_TOL) -> VerifyReport:
     """Evaluate both sides independently at one grid point and compare;
-    the check never rewrites one side into the other."""
+    the check never rewrites one side into the other.  Any exception
+    raised by evaluation, a qsv error or not, is reported as the point's
+    error, `Type: message`."""
     t0 = time.perf_counter()
     subst = render_subst(point, backend)
     if backend == "exact":
@@ -306,7 +310,7 @@ def verify(record: IdentityRecord, point: GridPoint, *, backend: str = "exact",
         try:
             lhs = eval_exact(record.lhs, env)
             rhs = eval_exact(record.rhs, env)
-        except QsvError as exc:
+        except Exception as exc:  # a fault of qsv too: one point never ends a sweep
             report.error = f"{type(exc).__name__}: {exc}"
             report.wall_ms = int((time.perf_counter() - t0) * 1000)
             return report
@@ -329,7 +333,7 @@ def verify(record: IdentityRecord, point: GridPoint, *, backend: str = "exact",
         try:
             lhs = eval_numeric(record.lhs, env)
             rhs = eval_numeric(record.rhs, env)
-        except QsvError as exc:
+        except Exception as exc:  # a fault of qsv too: one point never ends a sweep
             report.error = f"{type(exc).__name__}: {exc}"
             report.wall_ms = int((time.perf_counter() - t0) * 1000)
             return report

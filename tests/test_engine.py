@@ -11,6 +11,7 @@ from mpmath import mpc
 from qsv import numeric as num
 from qsv.dsl import parse_expr
 from qsv.engine import (
+    MAX_NUMERIC_MSUM_TERMS,
     ExactEnv,
     ExactEvaluator,
     NumericEnv,
@@ -21,7 +22,7 @@ from qsv.engine import (
     fl_rhs_numeric,
     sum_sectioned_exact,
 )
-from qsv.errors import NonIntegerExponent, NonTruncatable, ValuationStall
+from qsv.errors import NonConvergence, NonIntegerExponent, NonTruncatable, ValuationStall
 from qsv.exact import ParamValue, series_add, series_inv, series_mul
 from qsv.qkernel import ThetaKind, poch_infinite, theta_series
 
@@ -65,6 +66,44 @@ def test_valuation_stall_on_flat_driver():
                    exps={"h": 2, "t": 1})
     with pytest.raises(ValuationStall):
         eval_exact(lhs, env)
+
+
+def test_dipping_exponent_is_summed_through_its_dip():
+    # sum of q^((k-20)^2) over k >= 0: the terms' valuations fall from 400
+    # to 0 and rise again, so every square below the order appears twice
+    env = ExactEnv(order=64)
+    got = eval_exact(parse_expr("sum(k=0..inf; q^(k*k - 40*k + 400))"), env)
+    assert got.coeffs == tuple(F(1 if i == 0 else 2 if round(i ** 0.5) ** 2 == i else 0)
+                               for i in range(64))
+
+
+@pytest.mark.parametrize("text", [
+    "sum(k=0..inf; q^(40 - 2*k))",  # a falling bound
+    "sum(k=0..inf; q^k + z^k)",     # one polynomial of the bound never rises
+])
+def test_bound_that_need_not_reach_the_order_stalls(text):
+    env = ExactEnv(order=16, params={"z": pv(F(1, 2), 0)})
+    with pytest.raises(ValuationStall, match=r"^terms of the sum over 'k' stopped gaining "
+                                             r"q-valuation \(bound "):
+        eval_exact(parse_expr(text), env)
+
+
+def test_guarded_term_is_evaluated_though_its_bound_is_past_the_order():
+    # the bound k*k + 20 is past the order at every k, but (a*q^k; q)_inf
+    # with a = 1 does not truncate at k = 0, where the guard k is 0: that
+    # term is evaluated, and raises, rather than skipped.  With a = q the
+    # guard is k + 1, never 0, and every term is skipped.
+    e = parse_expr("sum(k=0..inf; q^(k*k + 20) / poch(a*q^k; q)_inf)")
+    with pytest.raises(NonTruncatable):
+        eval_exact(e, ExactEnv(order=16, params={"a": pv(1, 0)}))
+    assert eval_exact(e, ExactEnv(order=16, params={"a": pv(1, 1)})).is_zero()
+
+
+def test_negative_cross_term_stalls():
+    # j*j + k*k - j*k >= 0 everywhere, but a negative cross term has no proven bound
+    env = ExactEnv(order=16)
+    with pytest.raises(ValuationStall, match="negative cross term"):
+        eval_exact(parse_expr("msum(j, k; q^(j*j + k*k - j*k))"), env)
 
 
 def test_infinite_poch_zero_valuation_is_hard_error():
@@ -221,6 +260,16 @@ def test_multisum_stall_detection():
     env = ExactEnv(order=12, params={"z1": pv(1, 1), "z2": pv(F(1, 3), 0)})
     with pytest.raises(ValuationStall):
         eval_exact(e, env)
+
+
+def test_numeric_msum_is_bounded_by_total_terms():
+    # nothing decays along k2, so shell d holds about d^2/2 terms: a cap on
+    # shells alone would run about 10^9 terms, the total-term cap ends it
+    e = parse_expr("msum(k1, k2, k3; poch(a; q)_k1 * z^k1 * poch(b; q)_k2"
+                   " * poch(w; q)_(k1+k2+k3) * c^k3)")
+    env = NumericEnv(q=0.3, params={name: 0.5 for name in "abcwz"})
+    with pytest.raises(NonConvergence, match=f"within {MAX_NUMERIC_MSUM_TERMS} terms"):
+        eval_numeric(e, env)
 
 
 # -- numeric backend -----------------------------------------------------------------

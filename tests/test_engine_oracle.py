@@ -45,7 +45,12 @@ from qsv.expr import (
     free_names,
     walk,
 )
-from qsv.verifier import default_catalog_path, default_numeric_grid, load_catalog_file
+from qsv.verifier import (
+    default_catalog_path,
+    default_exact_grid,
+    default_numeric_grid,
+    load_catalog_file,
+)
 
 # -- naive reference interpreter -----------------------------------------------
 
@@ -206,8 +211,10 @@ def closed_expr(draw, depth=2, idx=None):
         poly = IntPoly.const(draw(st.integers(0, 2)))
         if idx and coeff:
             poly = poly + IntPoly({((idx, 1),): F(coeff)})
+        if idx and draw(st.booleans()):
+            poly = poly + dipping(draw, idx)
         return QPow(poly)
-    choice = draw(st.integers(0, 5))
+    choice = draw(st.integers(0, 6))
     if choice == 0:
         return Add(draw(closed_expr(depth=depth - 1, idx=idx)),
                    draw(closed_expr(depth=depth - 1, idx=idx)))
@@ -235,11 +242,42 @@ def closed_expr(draw, depth=2, idx=None):
             exp = exp + IntPoly({((idx, 1),): F(draw(st.integers(0, 2)))})
         return Pow(Param(draw(st.sampled_from(["a", "b"]))), exp)
     if choice == 4 and idx is None:
-        summand = Mul(draw(closed_expr(depth=depth - 1, idx="k")),
-                      Pow(Param("a"), __import__("qsv.intpoly",
-                                                 fromlist=["IntPoly"]).IntPoly.symbol("k")))
+        from qsv.intpoly import IntPoly
+
+        summand = Mul(Mul(draw(closed_expr(depth=depth - 1, idx="k")),
+                          Pow(Param("a"), IntPoly.symbol("k"))), QPow(dipping(draw, "k")))
         return Sum("k", draw(st.integers(0, 1)), draw(st.integers(1, 2)), summand)
+    if choice == 5 and idx is None:
+        return MultiSum(("j", "k"), two_index_summand(draw, depth))
     return Neg(draw(closed_expr(depth=depth - 1, idx=idx)))
+
+
+def dipping(draw, idx):
+    """(idx - a/2)^2 + c >= 0: with a = 16 the terms' valuations fall for
+    eight steps from 64, far past the order, before they rise again."""
+    from qsv.intpoly import IntPoly
+
+    a, c = draw(st.sampled_from([0, 6, 16])), draw(st.integers(0, 2))
+    k = IntPoly.symbol(idx)
+    return k * k - k * a + (a * a // 4 + c)
+
+
+def two_index_summand(draw, depth):
+    """A j-part times a k-part times q^(b*j*k + dip in j) times a^j * a^k,
+    which makes every term's valuation at least j + k."""
+    from qsv.intpoly import IntPoly
+
+    j, k = IntPoly.symbol("j"), IntPoly.symbol("k")
+    exponent = j * k * draw(st.integers(0, 2))
+    if draw(st.booleans()):
+        exponent = exponent + dipping(draw, "j")
+    factors = [draw(closed_expr(depth=depth - 1, idx="j")),
+               draw(closed_expr(depth=depth - 1, idx="k")),
+               QPow(exponent), Pow(Param("a"), j), Pow(Param("a"), k)]
+    out = factors[0]
+    for factor in factors[1:]:
+        out = Mul(out, factor)
+    return out
 
 
 @given(closed_expr(), st.integers(0, 4))
@@ -326,7 +364,7 @@ def _first_plan(e, env):
     """The plan of the sum e, compiled at its first term."""
     indices = (e.index,) if isinstance(e, Sum) else e.indices
     start = e.start if isinstance(e, Sum) else 0
-    plan = SumPlan(ExactEvaluator(env), indices, e.summand)
+    plan = SumPlan(ExactEvaluator(env), indices, e.summand, env.exps)
     plan.term({**env.exps, **{ix: start for ix in indices}})
     return plan
 
@@ -344,17 +382,81 @@ def test_sum_plan_matches_naive(text, per_term, params):
 
 
 def test_sum_plan_raises_for_a_vanishing_denominator():
-    # 1/(1; q)_k is 1 at k = 0 and has no inverse after; the sum stalls in
-    # the valuation scan before any term, and the plan raises at k = 1
+    # 1/(1; q)_k is 1 at k = 0 and has no inverse after, so the summand has
+    # no valuation bound: the sum evaluates its first term and stalls, and
+    # the plan raises at k = 1
     e = parse_expr("sum(k=0..inf; z^k / poch(1; q)_k)")
     env = ExactEnv(order=16, params=PLAN_PARAMS[0])
     with pytest.raises(ValuationStall, match=r"over 'k' stopped gaining "
-                                             r"q-valuation \(bound stuck at 0\)"):
+                                             r"q-valuation \(no valuation bound\)"):
         eval_exact(e, env)
     plan = _first_plan(e, env)
     assert sum(kind == "eval" for kind, *_ in plan.steps) == 1
     with pytest.raises(ZeroConstantTerm, match=r"\(x;q\^h\)_k with x = 1 vanishes"):
         plan.term({"k": 1})
+
+
+def outer_sums(e):
+    return [node for node, bound in walk(e)
+            if not bound and isinstance(node, (Sum, MultiSum))]
+
+
+def test_msum_with_a_flat_first_step_matches_naive():
+    # the bound j*j - j + k stays 0 from j = 0 to j = 1: no per-index rate
+    # read from those two points can bound the sum
+    e = parse_expr("msum(j, k; q^(2*binom2(j)) * q^k)")
+    order = 32
+    env = ExactEnv(order=order)
+    assert eval_exact(e, env) == to_series(naive_eval(e, env, {}, order), order)
+
+
+def assert_plan_sound(e, env, check_skipped=True):
+    """Over every term the plan of the sum e evaluates, the compiled bound
+    is at most the term's valuation wherever no guard vanishes; for a single
+    sum, every skipped term from its start to five steps past the last
+    evaluated one has valuation at least the order."""
+    indices = (e.index,) if isinstance(e, Sum) else tuple(e.indices)
+    start, stride = (e.start, e.stride) if isinstance(e, Sum) else (0, 1)
+    ev = ExactEvaluator(env)
+    plan = SumPlan(ev, indices, e.summand, env.exps)
+    assert plan.bound is not None
+    evaluated = []
+    for point in plan.points(env.exps, start, stride):
+        term = plan.term(point)
+        evaluated.append(point[indices[0]])
+        if plan.bound and all(g.eval_int(point) for g in plan.guards):
+            low = min(p.eval_int(point) for p in plan.bound)
+            assert term.is_zero() or term.valuation() >= low, (point, plan.bound)
+    if check_skipped and len(indices) == 1:
+        last = max(evaluated, default=start)
+        for value in range(start, last + 5 * stride + 1, stride):
+            if value not in evaluated:
+                term = ev.eval(e.summand, {indices[0]: value})
+                assert term.valuation() >= env.order, (indices[0], value)
+
+
+def catalog_sums():
+    for record in load_catalog_file(default_catalog_path()):
+        if record.numeric_only:
+            continue
+        for e in outer_sums(record.lhs) + outer_sums(record.rhs):
+            yield record, e
+
+
+@pytest.mark.parametrize("record,e", list(catalog_sums()),
+                         ids=lambda x: x.id if hasattr(x, "id") else "")
+def test_compiled_bound_is_sound_on_catalog(record, e):
+    point = default_exact_grid(record)[0]
+    assert_plan_sound(e, ExactEnv(order=24, params=point.params, exps=point.exps))
+
+
+@given(closed_expr(depth=3), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_compiled_bound_is_sound_on_generated_sums(e, rotation):
+    env = ExactEnv(order=14, params={"a": PVALS[rotation % len(PVALS)],
+                                     "b": PVALS[(rotation + 2) % len(PVALS)]})
+    for s in outer_sums(e):
+        assert_plan_sound(s, env)
 
 
 # -- numeric sum plans ---------------------------------------------------------
@@ -388,11 +490,6 @@ class PlainNumeric(NumericEvaluator):
 def bits(z):
     """The exact binary value of an mpc, so that equality means every bit."""
     return z.real._mpf_, z.imag._mpf_
-
-
-def outer_sums(e):
-    return [node for node, bound in walk(e)
-            if not bound and isinstance(node, (Sum, MultiSum))]
 
 
 NUMERIC_RECORDS = {r.id: r for r in load_catalog_file(default_catalog_path())

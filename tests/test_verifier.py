@@ -8,7 +8,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import perturb_record
-from qsv.dsl import parse_expr
+from qsv.dsl import parse_catalog, parse_expr
 from qsv.engine import ExactEnv, eval_exact
 from qsv.errors import LineageKindUnsupported
 from qsv.exact import ParamValue
@@ -131,6 +131,42 @@ def test_verify_term_cap_error(catalog, monkeypatch):
     report = verify(catalog["q-bin"], point, order=16)
     assert report.status == "error"
     assert report.error.startswith("TermCapExceeded: ")
+
+
+def test_dipping_sum_is_no_false_pass():
+    # the terms' valuations fall from 400 to 0 at k = 20 and rise again:
+    # a sum stopped before the dip would pass against 0
+    record = parse_catalog("""
+identity dip {
+  anchor "t";
+  lhs = sum(k=0..inf; q^(k*k - 40*k + 400));
+  rhs = 0;
+}
+""")[0]
+    [report] = verify_record(record, order=64)
+    assert report.status == "mismatch" and report.first_mismatch_order == 0
+
+
+@pytest.mark.parametrize("backend", ["exact", "numeric"])
+def test_any_exception_is_an_error_entry_and_check_all_goes_on(
+        catalog, monkeypatch, capsys, backend):
+    import qsv.verifier
+    from qsv.cli import main
+
+    def fault(e, env):
+        raise RuntimeError("not a qsv error")
+
+    monkeypatch.setattr(qsv.verifier, f"eval_{backend}", fault)
+    grid = default_exact_grid if backend == "exact" else default_numeric_grid
+    report = verify(catalog["q-bin"], grid(catalog["q-bin"])[0], backend=backend)
+    assert (report.status, report.error) == ("error", "RuntimeError: not a qsv error")
+    code = main(["check-all", "--backend", backend, "--filter", "1.6.6", "--order", "16"])
+    out = capsys.readouterr().out
+    assert code == 3
+    rows = [line for line in out.splitlines() if "[" + backend + "]" in line]
+    assert len(rows) > 5 and all(line.endswith("(RuntimeError: not a qsv error)")
+                                 for line in rows)
+    assert f"summary: 0 pass, 0 mismatch, {len(rows)} error" in out
 
 
 def test_verify_numeric_constraint_violation(catalog):
