@@ -19,10 +19,8 @@ Two backends share the same AST:
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
 import mpmath
@@ -34,6 +32,7 @@ from .errors import (
     NonConvergence,
     NonIntegerExponent,
     NonTruncatable,
+    QsvError,
     TermCapExceeded,
     UnknownName,
     ValuationStall,
@@ -91,13 +90,13 @@ from .qkernel import (
     theta_series,
 )
 
-#: iteration safety cap for exact sums
+#: iteration safety cap for exact sums: the most values one index runs
+#: through under one value of the indices outside it
 MAX_EXACT_TERMS = 200_000
 
 #: total-term cap for numeric multisums, whose shells grow with their size
 MAX_NUMERIC_MSUM_TERMS = 30_000
 
-_ARITH = {Add: operator.add, Sub: operator.sub, Mul: operator.mul}
 _ONE = ParamValue(Fraction(1), 0)
 
 
@@ -125,12 +124,12 @@ class NumericEnv:
 class ExactEvaluator:
     """Exact evaluation under one environment.  `idxenv` maps exponent
     symbols and the bound summation indices to their integer values; the
-    entry points `eval` and `sum_sectioned` bind the exponent symbols into
-    it once."""
+    entry point `eval` binds the exponent symbols into it once."""
 
     def __init__(self, env: ExactEnv):
         self.env = env
         self.order = env.order
+        self._mod_q = None  # the evaluator at order 1, made by const0
 
     def _bind(self, idxenv):
         """Exponent symbols, shadowed by any summation index of that name."""
@@ -192,50 +191,15 @@ class ExactEvaluator:
     # -- constant term / valuation bound ----------------------------------------
 
     def const0(self, e: Expr, idxenv):
-        """Constant coefficient of e, or None when not cheaply known."""
-        if isinstance(e, Const):
-            return e.value
-        if isinstance(e, Param):
-            pv = self._param(e.name)
-            return pv.coeff if pv.qpow == 0 else Fraction(0)
-        if isinstance(e, QPow):
-            v = e.exponent.eval_int(idxenv)
-            return Fraction(1) if v == 0 else Fraction(0)
-        if isinstance(e, Neg):
-            c = self.const0(e.arg, idxenv)
-            return None if c is None else -c
-        if isinstance(e, (Add, Sub, Mul)):
-            a = self.const0(e.left, idxenv)
-            b = self.const0(e.right, idxenv)
-            return None if a is None or b is None else _ARITH[type(e)](a, b)
-        if isinstance(e, Div):
-            a = self.const0(e.left, idxenv)
-            b = self.const0(e.right, idxenv)
-            if a is None or b is None or b == 0:
-                return None
-            return a / b
-        if isinstance(e, Pow):
-            a = self.const0(e.base, idxenv)
-            if a is None:
-                return None
-            n = e.exponent.eval_int(idxenv)
-            if n < 0 and a == 0:
-                return None
-            return a ** n
-        if isinstance(e, Poch):
-            c = self.const0(e.arg, idxenv)
-            if c is None:
-                return None
-            if c == 0:
-                return Fraction(1)
-            length = self._length(e.length, idxenv)
-            if length is None:
-                return None  # genuinely infinite product of (1-c) factors
-            # every factor after the first is 1 plus a positive q-power
-            return 1 - c if length else Fraction(1)
-        if isinstance(e, (OmegaProd, StrideProd, Theta)):
-            return Fraction(1)
-        return None
+        """Constant coefficient of e -- its value mod q -- or None when it
+        cannot be evaluated."""
+        if self._mod_q is None:
+            self._mod_q = self if self.order == 1 else ExactEvaluator(
+                replace(self.env, order=1))
+        try:
+            return self._mod_q._eval(e, idxenv)[0]
+        except QsvError:
+            return None
 
     def val_lb(self, e: Expr, idxenv, indices):
         """A lower bound on the q-adic valuation of e at every value of the
@@ -480,12 +444,6 @@ class ExactEvaluator:
             total = series_add(total, plan.term(sub_idx))
         return total
 
-    def sum_sectioned(self, summand, index, r, s, idxenv=None) -> QSeries:
-        """Sum over index = s, s+r, s+2r, ... by direct stride enumeration."""
-        if r < 1 or not (0 <= s < r):
-            raise ValueError("need r >= 1 and 0 <= s < r")
-        return self._eval_sum((index,), s, r, summand, self._bind(idxenv))
-
 
 class SumPlan:
     """The summand of one sum or msum.  Its valuation bound (`bound`,
@@ -569,15 +527,9 @@ class SumPlan:
                     raise stall(ix, what)
                 K[j] = max(K[j], rises[j])
             rows.append((need, parts, [sum(lows[j + 1:]) for j in range(len(lows))]))
-        visits = 0
 
         def descend(j, fixed, prefix):
-            nonlocal visits
-            for k in itertools.count():
-                visits += 1
-                if visits > MAX_EXACT_TERMS:
-                    raise TermCapExceeded(f"sum over {indices[j]!r} exceeded the term "
-                                          f"cap of {MAX_EXACT_TERMS}")
+            for k in range(MAX_EXACT_TERMS):
                 here = [fx + _horner(parts[j], k) for fx, (_, parts, _) in zip(fixed, rows)]
                 if all(h + rest[j] >= need for h, (need, _, rest) in zip(here, rows)):
                     if k > K[j]:
@@ -586,6 +538,8 @@ class SumPlan:
                     yield at(prefix + (k,))
                 else:
                     yield from descend(j + 1, here, prefix + (k,))
+            raise TermCapExceeded(f"sum over {indices[j]!r} exceeded the term cap "
+                                  f"of {MAX_EXACT_TERMS}")
 
         yield from descend(0, [0] * len(rows), ())
 
@@ -700,11 +654,7 @@ class SumPlan:
 
 def _is_monomial(e: Expr) -> bool:
     """Whether e has the shape `ExactEvaluator.monomial` evaluates."""
-    if isinstance(e, (Const, Param, QPow)):
-        return True
-    if isinstance(e, (Mul, Div)):
-        return _is_monomial(e.left) and _is_monomial(e.right)
-    return isinstance(e, (Neg, Pow)) and _is_monomial(e.arg if isinstance(e, Neg) else e.base)
+    return all(isinstance(n, (Const, Param, QPow, Neg, Mul, Div, Pow)) for n, _ in walk(e))
 
 
 def _int_parts(p: IntPoly, indices):
@@ -739,11 +689,6 @@ def _horner(coeffs, x):
 
 def eval_exact(e: Expr, env: ExactEnv) -> QSeries:
     return ExactEvaluator(env).eval(e)
-
-
-def sum_sectioned_exact(summand: Expr, index: str, r: int, s: int,
-                        env: ExactEnv) -> QSeries:
-    return ExactEvaluator(env).sum_sectioned(summand, index, r, s)
 
 
 # ---------------------------------------------------------------------------
@@ -912,12 +857,7 @@ class NumericEvaluator:
                 total += self._eval(e.summand, sub_sym, plan)
             return total
 
-        return num.sum_with_tail_bound(shell, self.tol, max_terms=2000, tail_run=5)
-
-    def sum_sectioned(self, summand, index, r, s, idxenv=None) -> mpc:
-        if r < 1 or not (0 <= s < r):
-            raise ValueError("need r >= 1 and 0 <= s < r")
-        return self._eval_sum(Sum(index, s, r, summand), self._bind(idxenv))
+        return num.sum_with_tail_bound(shell, self.tol, tail_run=5)
 
     def sum_sectioned_roots(self, summand, index, r, s, idxenv=None) -> mpc:
         """Root-of-unity averaging route for the sectioned sum: average the

@@ -15,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import IndexShadowing, UnknownName
 from .exact import ParamValue
@@ -383,18 +384,6 @@ class APoch:
 
 
 @dataclass(frozen=True)
-class AOmega:
-    h: IntPoly
-    length: object
-
-
-@dataclass(frozen=True)
-class AStride:
-    h: IntPoly
-    length: object
-
-
-@dataclass(frozen=True)
 class ATheta:
     kind: str
 
@@ -431,18 +420,14 @@ def _atom_key(atom):
         return (1, atom.base)
     if isinstance(atom, APoch):
         return (2, _csum_key(atom.arg), atom.base.key(), _len_key(atom.length))
-    if isinstance(atom, AOmega):
-        return (3, atom.h.key(), _len_key(atom.length))
-    if isinstance(atom, AStride):
-        return (4, atom.h.key(), _len_key(atom.length))
     if isinstance(atom, ATheta):
-        return (5, atom.kind)
+        return (3, atom.kind)
     if isinstance(atom, ASum):
-        return (6, atom.index, atom.start, atom.stride, _csum_key(atom.body))
+        return (4, atom.index, atom.start, atom.stride, _csum_key(atom.body))
     if isinstance(atom, AMulti):
-        return (7, atom.indices, _csum_key(atom.body))
+        return (5, atom.indices, _csum_key(atom.body))
     if isinstance(atom, AAdd):
-        return (8, _csum_key(atom.body))
+        return (6, _csum_key(atom.body))
     raise TypeError(f"unknown atom {atom!r}")
 
 
@@ -801,11 +786,6 @@ def _atom_free_names(atom) -> set:
         if isinstance(atom.length, IntPoly):
             names |= atom.length.symbols()
         return names
-    if isinstance(atom, (AOmega, AStride)):
-        names = set(atom.h.symbols())
-        if isinstance(atom.length, IntPoly):
-            names |= atom.length.symbols()
-        return names
     if isinstance(atom, ATheta):
         return set()
     if isinstance(atom, ASum):
@@ -826,50 +806,25 @@ def _csum_free_names(s: CSum) -> set:
     return names
 
 
-def _canon_sum_body(index: str, start: int, stride: int, body: CSum) -> CSum:
-    """Wrap a canonical summand into an ASum, first extracting every
-    factor (and the index-free part of coefficient and q-power) that does
-    not involve the summation index."""
-    if index not in _csum_free_names(body):
-        trivial = ASum(index, start, stride, CS_ONE)
-        return _cs_mul(body, _make_term(Fraction(1), IntPoly(),
-                                        {trivial: IntPoly.const(1)}))
-    single = body.single()
-    if single is None:
-        atom = ASum(index, start, stride, body)
-        return _make_term(Fraction(1), IntPoly(), {atom: IntPoly.const(1)})
-    dep_q, free_q = single.qexp.split_on({index})
-    dep_f, free_f = {}, {}
-    for atom, exp in single.factors:
-        if index in _atom_free_names(atom) or index in exp.symbols():
-            dep_f[atom] = exp
-        else:
-            free_f[atom] = exp
-    inner = _make_term(Fraction(1), dep_q, dep_f)
-    atom = ASum(index, start, stride, inner)
-    free_f[atom] = _poly_add(free_f.get(atom), IntPoly.const(1))
-    return _make_term(single.coef, free_q, free_f)
-
-
-def _canon_multi_body(indices: tuple, body: CSum) -> CSum:
+def _canon_sum_body(indices: tuple, sum_atom, body: CSum) -> CSum:
+    """Wrap a canonical summand into the atom `sum_atom(summand)` of a sum
+    over `indices`, first extracting every factor (and the index-free part
+    of coefficient and q-power) that involves none of them."""
     idxset = set(indices)
-    if not (idxset & _csum_free_names(body)):
-        trivial = AMulti(indices, CS_ONE)
+    if idxset.isdisjoint(_csum_free_names(body)):
         return _cs_mul(body, _make_term(Fraction(1), IntPoly(),
-                                        {trivial: IntPoly.const(1)}))
+                                        {sum_atom(CS_ONE): IntPoly.const(1)}))
     single = body.single()
     if single is None:
-        atom = AMulti(indices, body)
-        return _make_term(Fraction(1), IntPoly(), {atom: IntPoly.const(1)})
+        return _make_term(Fraction(1), IntPoly(), {sum_atom(body): IntPoly.const(1)})
     dep_q, free_q = single.qexp.split_on(idxset)
     dep_f, free_f = {}, {}
     for atom, exp in single.factors:
-        if (_atom_free_names(atom) & idxset) or (exp.symbols() & idxset):
-            dep_f[atom] = exp
-        else:
+        if idxset.isdisjoint(_atom_free_names(atom) | exp.symbols()):
             free_f[atom] = exp
-    inner = _make_term(Fraction(1), dep_q, dep_f)
-    atom = AMulti(indices, inner)
+        else:
+            dep_f[atom] = exp
+    atom = sum_atom(_make_term(Fraction(1), dep_q, dep_f))
     free_f[atom] = _poly_add(free_f.get(atom), IntPoly.const(1))
     return _make_term(single.coef, free_q, free_f)
 
@@ -920,14 +875,15 @@ def canon(e: Expr) -> CSum:
         if isinstance(node, Sum):
             cname = f"i{depth}"
             inner = walk(node.summand, {**binders, node.index: cname}, depth + 1)
-            return _canon_sum_body(cname, node.start, node.stride, inner)
+            return _canon_sum_body((cname,), partial(ASum, cname, node.start, node.stride),
+                                   inner)
         if isinstance(node, MultiSum):
             if len(node.indices) == 1:
                 return walk(Sum(node.indices[0], 0, 1, node.summand), binders, depth)
             cnames = tuple(f"i{depth + i}" for i in range(len(node.indices)))
             newb = {**binders, **dict(zip(node.indices, cnames))}
             inner = walk(node.summand, newb, depth + len(node.indices))
-            return _canon_multi_body(cnames, inner)
+            return _canon_sum_body(cnames, partial(AMulti, cnames), inner)
         raise TypeError(f"unknown expression node {node!r}")
 
     def ren(p, binders):
@@ -951,10 +907,6 @@ def _rebuild_atom(atom) -> Expr:
         return const(atom.base)
     if isinstance(atom, APoch):
         return Poch(rebuild(atom.arg), atom.base, atom.length)
-    if isinstance(atom, AOmega):
-        return OmegaProd(atom.h, atom.length)
-    if isinstance(atom, AStride):
-        return StrideProd(atom.h, atom.length)
     if isinstance(atom, ATheta):
         return Theta(atom.kind)
     if isinstance(atom, ASum):

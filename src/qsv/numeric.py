@@ -8,8 +8,6 @@ target tolerance; any non-finite intermediate aborts the evaluation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import mpmath
 from mpmath import mpc, mpf
 
@@ -90,23 +88,9 @@ def cpow(base, exp) -> mpc:
     return check_finite(mpmath.exp(exp * mpmath.log(base)))
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """w_r^index with w_r = exp(2*pi*i/r)."""
-
-    order: int
-    index: int
-
-    def __post_init__(self):
-        if self.order < 1:
-            raise ValueError("order must be a positive integer")
-
-    def value(self) -> mpc:
-        return mpmath.exp(2j * mpmath.pi * self.index / self.order)
-
-
 def root_of_unity(r: int, index: int = 1) -> mpc:
-    return RootOfUnity(r, index).value()
+    """w_r^index with w_r = exp(2*pi*i/r)."""
+    return mpmath.exp(2j * mpmath.pi * index / r)
 
 
 def qpoch_inf_numeric(x, qbase, tol=SCALAR_TOL) -> mpc:
@@ -218,30 +202,22 @@ def qpoch_complex_index(x, qbase, k, tol=SCALAR_TOL) -> mpc:
 
 def theta_psi_numeric(q, tol=SCALAR_TOL) -> mpc:
     """psi(q) = sum_{k>=0} q^{k(k+1)/2}, |q| < 1."""
-    q = to_cnum(q)
-    if abs(q) >= 1:
-        raise BaseNotInDisk("theta series needs |q| < 1")
-    total = mpc(0)
-    k = 0
-    while True:
-        term = cpow(q, k * (k + 1) // 2)
-        total += term
-        if abs(term) < tol * max(abs(total), mpf(1)) and k > 2:
-            return check_finite(total)
-        k += 1
-        if k > MAX_TERMS:
-            raise NonConvergence("theta sum did not converge")
+    return _theta_sum(q, tol, mpc(0), 0, lambda q, k: cpow(q, k * (k + 1) // 2))
 
 
 def theta_phi_minus_numeric(q, tol=SCALAR_TOL) -> mpc:
     """phi(-q) = 1 + 2*sum_{k>=1} (-1)^k q^{k^2}, |q| < 1."""
+    return _theta_sum(q, tol, mpc(1), 1, lambda q, k: 2 * (-1) ** k * cpow(q, k * k))
+
+
+def _theta_sum(q, tol, total, k, term_fn) -> mpc:
+    """total + term_fn(q, k) + term_fn(q, k + 1) + ... until a term past
+    k = 2 is below tol relative to the partial sum."""
     q = to_cnum(q)
     if abs(q) >= 1:
         raise BaseNotInDisk("theta series needs |q| < 1")
-    total = mpc(1)
-    k = 1
     while True:
-        term = 2 * (-1) ** k * cpow(q, k * k)
+        term = term_fn(q, k)
         total += term
         if abs(term) < tol * max(abs(total), mpf(1)) and k > 2:
             return check_finite(total)

@@ -366,21 +366,6 @@ def verify_record(record: IdentityRecord, *, backend: str = "exact",
             for p in points]
 
 
-def verify_all(records: list, *, backend: str = "exact",
-               order: int = DEFAULT_ORDER, tol: float = num.IDENTITY_TOL,
-               id_filter: str | None = None) -> list:
-    reports = []
-    for record in sorted(records, key=lambda r: r.id):
-        if id_filter and id_filter not in record.id:
-            continue
-        reports.append((record.id, verify_record(record, backend=backend,
-                                                 order=order, tol=tol)))
-    out = []
-    for _, rs in reports:
-        out.extend(rs)
-    return out
-
-
 def derive_check(record: IdentityRecord, catalog: dict) -> bool:
     """Check a direct lineage: substitute into the parent, normalize, and
     compare structurally with the child, allowing a recorded cosmetic

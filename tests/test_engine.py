@@ -20,10 +20,10 @@ from qsv.engine import (
     eval_numeric,
     fl_lhs_numeric,
     fl_rhs_numeric,
-    sum_sectioned_exact,
 )
 from qsv.errors import NonConvergence, NonIntegerExponent, NonTruncatable, ValuationStall
 from qsv.exact import ParamValue, series_add, series_inv, series_mul
+from qsv.expr import Sum
 from qsv.qkernel import ThetaKind, poch_infinite, theta_series
 
 
@@ -142,9 +142,9 @@ def test_sectioned_sum_splits_total():
         env = ExactEnv(order=24, params={"z": z})
         full = eval_exact(parse_expr("sum(k=0..inf; z^k / poch(q;q)_k)"), env)
         # one section starting at zero is the ordinary sum
-        assert sum_sectioned_exact(summand, "k", 1, 0, env) == full
+        assert eval_exact(Sum("k", 0, 1, summand), env) == full
         for r in (2, 3):
-            parts = [sum_sectioned_exact(summand, "k", r, s, env)
+            parts = [eval_exact(Sum("k", s, r, summand), env)
                      for s in range(r)]
             total = parts[0]
             for p in parts[1:]:
@@ -175,7 +175,7 @@ def test_sectioned_sum_splits_catalog_summands(catalog):
                    exps={"h": 2, "t": 1})
     full = eval_exact(node, env)
     for r in (2, 3):
-        parts = [sum_sectioned_exact(node.summand, node.index, r, s, env)
+        parts = [eval_exact(Sum(node.index, s, r, node.summand), env)
                  for s in range(r)]
         total = parts[0]
         for p in parts[1:]:
@@ -189,7 +189,7 @@ def test_sectioned_even_part_matches_root_average():
     n = 32
     env = ExactEnv(order=n, params={"z": pv(1, 1)})
     summand = parse_expr("z^k / poch(q;q)_k")
-    sectioned = sum_sectioned_exact(summand, "k", 2, 0, env)
+    sectioned = eval_exact(Sum("k", 0, 2, summand), env)
     plus = series_inv(poch_infinite(pv(1, 1), 1, n))
     minus = series_inv(poch_infinite(pv(-1, 1), 1, n))
     avg = series_add(plus, minus)
@@ -200,7 +200,7 @@ def test_sectioned_even_part_matches_root_average():
 def test_sectioned_geometric_tail():
     # k = 1, 3, 5, ... of z^k: z/(1 - z^2) as a series at z = q
     env = ExactEnv(order=16, params={"z": pv(1, 1)})
-    got = sum_sectioned_exact(parse_expr("z^k"), "k", 2, 1, env)
+    got = eval_exact(Sum("k", 1, 2, parse_expr("z^k")), env)
     assert [int(c) for c in got.coeffs] == [0, 1, 0, 1] * 4
 
 
@@ -209,7 +209,7 @@ def test_numeric_sectioning_roots_route():
     ev = NumericEvaluator(env)
     summand = parse_expr("z^k / poch(q;q)_k")
     for r, s in ((2, 0), (2, 1), (3, 1)):
-        direct = ev.sum_sectioned(summand, "k", r, s)
+        direct = ev.eval(Sum("k", s, r, summand))
         averaged = ev.sum_sectioned_roots(summand, "k", r, s)
         assert rel_err(direct, averaged) < 1e-10
 

@@ -23,7 +23,7 @@ from qsv.engine import (
     _compositions,
     eval_exact,
 )
-from qsv.errors import ValuationStall, ZeroConstantTerm
+from qsv.errors import TermCapExceeded, ValuationStall, ZeroConstantTerm
 from qsv.exact import ParamValue, QSeries
 from qsv.expr import (
     INF,
@@ -408,6 +408,32 @@ def test_msum_with_a_flat_first_step_matches_naive():
     order = 32
     env = ExactEnv(order=order)
     assert eval_exact(e, env) == to_series(naive_eval(e, env, {}, order), order)
+
+
+def test_msum_term_cap_bounds_one_index_run(monkeypatch):
+    # the walk visits over 500 index vectors, but no index runs through
+    # more than about 33 values under one value of the indices outside it
+    import qsv.engine
+
+    e = parse_expr("msum(j, k; q^(j+k))")
+    order = 32
+    env = ExactEnv(order=order)
+    monkeypatch.setattr(qsv.engine, "MAX_EXACT_TERMS", 100)
+    assert eval_exact(e, env) == to_series(naive_eval(e, env, {}, order), order)
+    monkeypatch.setattr(qsv.engine, "MAX_EXACT_TERMS", 20)
+    with pytest.raises(TermCapExceeded, match=r"^sum over 'k' exceeded the term cap of 20$"):
+        eval_exact(e, env)
+
+
+def test_sum_over_an_index_free_nested_sum_denominator():
+    # sum_j q^j = 1/(1-q) has constant term 1, so the outer terms have a
+    # valuation bound
+    e = parse_expr("sum(k=0..inf; q^k / sum(j=0..inf; q^j))")
+    order = 8
+    env = ExactEnv(order=order)
+    got = eval_exact(e, env)
+    assert got == to_series({0: F(1)}, order)
+    assert got == to_series(naive_eval(e, env, {}, order), order)
 
 
 def assert_plan_sound(e, env, check_skipped=True):

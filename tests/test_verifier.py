@@ -20,7 +20,6 @@ from qsv.verifier import (
     emit_report,
     exact_constraints_ok,
     verify,
-    verify_all,
     verify_record,
 )
 
@@ -177,10 +176,6 @@ def test_verify_numeric_constraint_violation(catalog):
     report = verify(record, point, backend="numeric")
     assert report.status == "error"
     assert "Constraint" in report.error
-
-
-def test_verify_all_empty():
-    assert verify_all([]) == []
 
 
 def test_numeric_only_record_skipped_under_exact(catalog):
