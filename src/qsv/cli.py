@@ -124,38 +124,24 @@ def cmd_list(args) -> int:
 
 
 def _point_with_overrides(record, backend, overrides):
-    if backend == "exact":
-        grid = default_exact_grid(record)
-        base = grid[0] if grid else GridPoint({}, {})
-        params = dict(base.params)
-        exps = dict(base.exps)
-        for name, value in overrides.items():
-            if name in record.params:
-                if isinstance(value, int):
-                    value = ParamValue(Fraction(value), 0)
-                params[name] = value
-            elif name in record.exps:
-                if not isinstance(value, int):
-                    raise ParseError(f"{name!r} needs an integer value")
-                exps[name] = value
-            else:
-                raise UnknownId(f"{name!r} is not a slot of {record.id}")
-        return [GridPoint(params, exps)]
-    grid = default_numeric_grid(record)
-    base = grid[0] if grid else GridPoint({}, {}, q=0.2)
-    params = dict(base.params)
-    exps = dict(base.exps)
-    q = base.q
+    exact = backend == "exact"
+    grid = default_exact_grid(record) if exact else default_numeric_grid(record)
+    base = grid[0] if grid else GridPoint({}, {}, q=None if exact else 0.2)
+    point = GridPoint(dict(base.params), dict(base.exps), q=base.q)
     for name, value in overrides.items():
-        if name == "q":
-            q = value
+        if name == "q" and not exact:
+            point.q = value
         elif name in record.params:
-            params[name] = value
+            if exact and isinstance(value, int):
+                value = ParamValue(Fraction(value), 0)
+            point.params[name] = value
         elif name in record.exps:
-            exps[name] = value
+            if exact and not isinstance(value, int):
+                raise ParseError(f"{name!r} needs an integer value")
+            point.exps[name] = value
         else:
             raise UnknownId(f"{name!r} is not a slot of {record.id}")
-    return [GridPoint(params, exps, q=q)]
+    return [point]
 
 
 def _run_checks(records, ids, backend, order, tol, subst_text):
@@ -174,7 +160,9 @@ def _run_checks(records, ids, backend, order, tol, subst_text):
     return reports
 
 
-def _print_reports(reports):
+def _print_reports(reports, report_path):
+    """One line per report, and the JSON report written to report_path
+    when one is given."""
     for r in reports:
         subst = ",".join(f"{k}={v}" for k, v in r.subst.items()) or "-"
         if r.status == "pass":
@@ -189,6 +177,9 @@ def _print_reports(reports):
         if r.backend == "numeric" and r.relative_diff is not None:
             extra = f" rel={r.relative_diff:.2e}"
         print(f"{r.id:28s} [{r.backend}] {subst:48s} {r.status}{extra}{detail}")
+    if report_path:
+        with open(report_path, "w", encoding="utf-8") as fh:
+            fh.write(emit_report(reports))
 
 
 def _summary_exit(reports, *, skip_ineligible=True) -> int:
@@ -210,10 +201,7 @@ def cmd_check(args) -> int:
     records = load_records(args.catalog)
     reports = _run_checks(records, [args.id], args.backend, args.order,
                           args.tolerance, args.subst)
-    _print_reports(reports)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(emit_report(reports))
+    _print_reports(reports, args.report)
     return _summary_exit(reports, skip_ineligible=False)
 
 
@@ -223,17 +211,17 @@ def cmd_check_all(args) -> int:
            if not args.filter or args.filter in r.id]
     reports = _run_checks(records, ids, args.backend, args.order,
                           args.tolerance, None)
-    _print_reports(reports)
-    if args.report:
-        with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(emit_report(reports))
+    _print_reports(reports, args.report)
     return _summary_exit(reports)
 
 
 def cmd_eval(args) -> int:
     expr = parse_expr(args.expr)
     overrides = parse_subst(args.subst or "", args.backend)
-    names = free_names(expr)
+    q = overrides.pop("q", 0.2) if args.backend == "numeric" else None
+    missing = free_names(expr) - set(overrides)
+    if missing:
+        raise QsvError(f"unbound names: {sorted(missing)}; bind with --subst")
     if args.backend == "exact":
         in_param_position = param_names(expr)
         params, exps = {}, {}
@@ -244,17 +232,10 @@ def cmd_eval(args) -> int:
                 exps[k] = v
             else:
                 params[k] = v
-        missing = names - set(params) - set(exps)
-        if missing:
-            raise QsvError(f"unbound names: {sorted(missing)}; bind with --subst")
         env = ExactEnv(order=args.order, params=params, exps=exps)
         series = eval_exact(expr, env)
         print(" ".join(str(c) for c in series.coeffs))
     else:
-        q = overrides.pop("q", 0.2)
-        missing = names - set(overrides)
-        if missing:
-            raise QsvError(f"unbound names: {sorted(missing)}; bind with --subst")
         # a standalone expression does not declare slot roles, so bind every
         # name in both the parameter and the exponent environment
         env = NumericEnv(q=q, params=dict(overrides), exps=dict(overrides),
@@ -285,6 +266,14 @@ def cmd_lineage(args) -> int:
     return EXIT_OK
 
 
+def truncation_order(text: str) -> int:
+    """A truncation order: an integer >= 1."""
+    order = int(text)
+    if order < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {order}")
+    return order
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsv",
@@ -292,7 +281,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, catalog=True, backends=("exact", "numeric", "both")):
-        p.add_argument("--order", type=int, default=DEFAULT_ORDER,
+        p.add_argument("--order", type=truncation_order, default=DEFAULT_ORDER,
                        help="truncation order for the exact backend")
         p.add_argument("--backend", choices=backends, default="exact")
         p.add_argument("--tolerance", type=float, default=num.IDENTITY_TOL,

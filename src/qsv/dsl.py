@@ -420,13 +420,11 @@ class Parser:
     def parse_msum(self) -> Expr:
         self.expect_name("msum")
         self.expect_punct("(")
-        indices = [self.expect_name().value]
-        while self.accept_punct(","):
-            indices.append(self.expect_name().value)
+        indices = self._name_list()
         self.expect_punct(";")
         summand = self.parse_expr()
         self.expect_punct(")")
-        return MultiSum(tuple(indices), summand)
+        return MultiSum(indices, summand)
 
     # catalog blocks -------------------------------------------------------------
 
@@ -473,13 +471,13 @@ class Parser:
                 anchor = stok.value
             elif clause == "params":
                 self.lex.next()
-                params = tuple(self._name_list())
+                params = self._name_list()
             elif clause == "exps":
                 self.lex.next()
-                exps = tuple(self._name_list())
+                exps = self._name_list()
             elif clause == "constraints":
                 self.lex.next()
-                constraints = tuple(self._constraint_list())
+                constraints = self._comma_list(self._parse_constraint)
             elif clause == "lineage":
                 self.lex.next()
                 lineage = self._parse_lineage()
@@ -508,17 +506,15 @@ class Parser:
         _validate_record(record)
         return record
 
-    def _name_list(self):
-        names = [self.expect_name().value]
+    def _comma_list(self, parse_item) -> tuple:
+        """One or more items, each read by parse_item, separated by commas."""
+        items = [parse_item()]
         while self.accept_punct(","):
-            names.append(self.expect_name().value)
-        return names
+            items.append(parse_item())
+        return tuple(items)
 
-    def _constraint_list(self):
-        out = [self._parse_constraint()]
-        while self.accept_punct(","):
-            out.append(self._parse_constraint())
-        return out
+    def _name_list(self) -> tuple:
+        return self._comma_list(lambda: self.expect_name().value)
 
     def _parse_constraint(self) -> Constraint:
         self.expect_name("abs")
@@ -545,9 +541,7 @@ class Parser:
             which = self.lex.next().value
             if which == "sub":
                 self.expect_punct("(")
-                sub.append(self._parse_sub_item())
-                while self.accept_punct(","):
-                    sub.append(self._parse_sub_item())
+                sub.extend(self._comma_list(self._parse_sub_item))
                 self.expect_punct(")")
             elif which == "factor":
                 self.expect_punct("(")

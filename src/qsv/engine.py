@@ -289,39 +289,48 @@ class ExactEvaluator:
     def eval(self, e: Expr, idxenv=None) -> QSeries:
         return self._eval(e, self._bind(idxenv))
 
-    def _eval(self, e: Expr, idxenv) -> QSeries:
+    def _eval(self, e: Expr, idxenv, inverse=False) -> QSeries:
+        """e, or 1/e when `inverse`: products, powers and Pochhammer symbols
+        invert part by part through O(N)-per-factor recurrences, any other
+        series whole, a two-term one by one binomial division."""
         N = self.order
-        if isinstance(e, Const):
-            return ParamValue(e.value, 0).to_series(N)
-        if isinstance(e, Param):
-            return self._param(e.name).to_series(N)
-        if isinstance(e, QPow):
-            return ParamValue(Fraction(1), self._qexp(e.exponent, idxenv)).to_series(N)
+        if isinstance(e, (Const, Param, QPow)):
+            m = self.monomial(e, idxenv)
+            return (m.pow(-1) if inverse else m).to_series(N)
         if isinstance(e, Neg):
-            return series_scale(self._eval(e.arg, idxenv), -1)
-        if isinstance(e, Add):
-            return series_add(self._eval(e.left, idxenv), self._eval(e.right, idxenv))
-        if isinstance(e, Sub):
-            right = series_scale(self._eval(e.right, idxenv), -1)
-            return series_add(self._eval(e.left, idxenv), right)
+            return series_scale(self._eval(e.arg, idxenv, inverse), -1)
         if isinstance(e, (Mul, Div)):
-            return self._eval_product(e, idxenv)
+            return self._eval_product(e, idxenv, inverse)
         if isinstance(e, Pow):
             n = e.exponent.eval_int(idxenv)
             m = self.monomial(e.base, idxenv)
             if m is not None:
-                return m.pow(n).to_series(N)
-            return series_pow(self._eval(e.base, idxenv), n)
+                return m.pow(-n if inverse else n).to_series(N)
+            return series_pow(self._eval(e.base, idxenv, inverse), n)
         if isinstance(e, (Poch, OmegaProd, StrideProd)):
-            return self._eval_symbol(e, idxenv, inverse=False)
-        if isinstance(e, Theta):
+            return self._eval_symbol(e, idxenv, inverse)
+        if isinstance(e, Add):
+            s = series_add(self._eval(e.left, idxenv), self._eval(e.right, idxenv))
+        elif isinstance(e, Sub):
+            right = series_scale(self._eval(e.right, idxenv), -1)
+            s = series_add(self._eval(e.left, idxenv), right)
+        elif isinstance(e, Theta):
             kind = ThetaKind.PSI if e.kind == "psi" else ThetaKind.PHI_MINUS
-            return theta_series(kind, N)
-        if isinstance(e, Sum):
-            return self._eval_sum((e.index,), e.start, e.stride, e.summand, idxenv)
-        if isinstance(e, MultiSum):
-            return self._eval_sum(tuple(e.indices), 0, 1, e.summand, idxenv)
-        raise TypeError(f"unknown expression node {e!r}")
+            s = theta_series(kind, N)
+        elif isinstance(e, Sum):
+            s = self._eval_sum((e.index,), e.start, e.stride, e.summand, idxenv)
+        elif isinstance(e, MultiSum):
+            s = self._eval_sum(tuple(e.indices), 0, 1, e.summand, idxenv)
+        else:
+            raise TypeError(f"unknown expression node {e!r}")
+        if not inverse:
+            return s
+        nonzero = [(i, x) for i, x in enumerate(s.nums) if x]
+        if len(nonzero) == 2 and nonzero[0][0] == 0:
+            (_, x0), (i1, x1) = nonzero
+            return series_div_binomial(series_const(Fraction(s.den, x0), N),
+                                       Fraction(x1, x0), i1)
+        return series_inv(s)
 
     def _flatten_product(self, e, inverted, out):
         if isinstance(e, Mul):
@@ -336,13 +345,12 @@ class ExactEvaluator:
         else:
             out.append((e, inverted))
 
-    def _eval_product(self, e, idxenv, invert_all=False) -> QSeries:
+    def _eval_product(self, e, idxenv, inverse=False) -> QSeries:
         parts = []
-        self._flatten_product(e, invert_all, parts)
+        self._flatten_product(e, inverse, parts)
 
         def product(series_parts, reduced):
-            factors = [(self._eval_inv(node, idxenv) if inv
-                        else self._eval(node, idxenv)).truncate(reduced)
+            factors = [self._eval(node, idxenv, inv).truncate(reduced)
                        for node, inv in series_parts]
             return factors[0] if len(factors) == 1 else series_mul_many(factors)
 
@@ -409,31 +417,6 @@ class ExactEvaluator:
             out = series_mul(out, series_add(one, series_shift(argseries, -1, base * i)))
         return series_inv(out) if inverse else out
 
-    def _eval_inv(self, e: Expr, idxenv) -> QSeries:
-        """1/e, routing Pochhammer and near-binomial denominators through
-        O(N)-per-factor recurrences instead of a full series inversion."""
-        N = self.order
-        if isinstance(e, (Poch, OmegaProd, StrideProd)):
-            return self._eval_symbol(e, idxenv, inverse=True)
-        if isinstance(e, (Mul, Div, Neg)):
-            return self._eval_product(e, idxenv, invert_all=True)
-        if isinstance(e, Pow):
-            n = e.exponent.eval_int(idxenv)
-            m = self.monomial(e.base, idxenv)
-            if m is not None:
-                return m.pow(-n).to_series(N)
-            return series_pow(self._eval_inv(e.base, idxenv), n)
-        m = self.monomial(e, idxenv)
-        if m is not None:
-            return m.pow(-1).to_series(N)
-        s = self._eval(e, idxenv)
-        nonzero = [(i, x) for i, x in enumerate(s.nums) if x]
-        if len(nonzero) == 2 and nonzero[0][0] == 0:
-            (_, x0), (i1, x1) = nonzero
-            return series_div_binomial(series_const(Fraction(s.den, x0), N),
-                                       Fraction(x1, x0), i1)
-        return series_inv(s)
-
     # -- sums -------------------------------------------------------------------
 
     def _eval_sum(self, indices, start, stride, summand, idxenv) -> QSeries:
@@ -462,8 +445,8 @@ class SumPlan:
     (1 - x q^(x.qpow + h*i)) in between.  One running series is kept per
     index level (the first term under the current values of the indices up
     to it), so an msum never divides back when an inner index resets.  Any
-    other index-dependent part is evaluated per term by `_eval`/`_eval_inv`
-    and multiplied in.  Parts are evaluated in product order, so a term
+    other index-dependent part is evaluated per term by `_eval` and
+    multiplied in.  Parts are evaluated in product order, so a term
     raises what `_eval` of the summand raises."""
 
     def __init__(self, ev: ExactEvaluator, indices, summand, idxenv):
@@ -564,7 +547,7 @@ class SumPlan:
                     raise ZeroConstantTerm("cannot invert a series with zero constant term")
                 binomials.append((rule * m.coeff, m.qpow, inv))
             elif kind == "eval" or fixed is not None:
-                value = ev._eval_inv(target, idxenv) if inv else ev._eval(target, idxenv)
+                value = ev._eval(target, idxenv, inv)
                 (evaluated if kind == "eval" else fixed).append(value)
         if fixed is not None:
             start = series_mul_many(fixed) if fixed else series_one(ev.order)
@@ -791,12 +774,9 @@ class NumericEvaluator:
                 return self._products.inf(x, qbase)
             return self._products.complex_index(x, qbase,
                                                 self._poly(e.length, sym))
-        if isinstance(e, OmegaProd):
-            h = self._poly_posint(e.h, sym)
-            return self._ratio_prod(e.length, sym, h, omega=True)
-        if isinstance(e, StrideProd):
-            h = self._poly_posint(e.h, sym)
-            return self._ratio_prod(e.length, sym, h, omega=False)
+        if isinstance(e, (OmegaProd, StrideProd)):
+            collapse = omega_collapse if isinstance(e, OmegaProd) else stride_collapse
+            return self._ratio_prod(e.length, sym, self._poly_posint(e.h, sym), collapse)
         if isinstance(e, Theta):
             fn = (num.theta_psi_numeric if e.kind == "psi"
                   else num.theta_phi_minus_numeric)
@@ -807,15 +787,16 @@ class NumericEvaluator:
             return self._eval_msum(e, sym)
         raise TypeError(f"unknown expression node {e!r}")
 
-    def _ratio_prod(self, length, sym, h, omega: bool):
-        """The quotient that qkernel's omega or stride collapse describes."""
+    def _ratio_prod(self, length, sym, h, collapse):
+        """The quotient that `collapse`, qkernel's omega or stride collapse,
+        describes."""
         if length is INF:
             n = None
         else:
             n = num.near_int(self._poly(length, sym))
             if n is None or n < 0:
                 raise NonIntegerExponent("product length must be a non-negative integer")
-        top, bottom = (omega_collapse if omega else stride_collapse)(n, h)
+        top, bottom = collapse(n, h)
         num_, den = self._collapse_factor(top), self._collapse_factor(bottom)
         if den == 0:
             raise DivisionByZeroProduct("product denominator vanished")

@@ -15,11 +15,11 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 
 from .errors import IndexShadowing, UnknownName
 from .exact import ParamValue
 from .intpoly import IntPoly
+from .qkernel import omega_collapse, stride_collapse
 
 # ---------------------------------------------------------------------------
 # surface AST
@@ -390,15 +390,11 @@ class ATheta:
 
 @dataclass(frozen=True)
 class ASum:
-    index: str
+    """A sum over one index (a `Sum`) or several (a `MultiSum`, start 0
+    and stride 1)."""
+    indices: tuple
     start: int
     stride: int
-    body: CSum
-
-
-@dataclass(frozen=True)
-class AMulti:
-    indices: tuple
     body: CSum
 
 
@@ -423,11 +419,9 @@ def _atom_key(atom):
     if isinstance(atom, ATheta):
         return (3, atom.kind)
     if isinstance(atom, ASum):
-        return (4, atom.index, atom.start, atom.stride, _csum_key(atom.body))
-    if isinstance(atom, AMulti):
-        return (5, atom.indices, _csum_key(atom.body))
+        return (4, atom.indices, atom.start, atom.stride, _csum_key(atom.body))
     if isinstance(atom, AAdd):
-        return (6, _csum_key(atom.body))
+        return (5, _csum_key(atom.body))
     raise TypeError(f"unknown atom {atom!r}")
 
 
@@ -563,7 +557,7 @@ def _normalize_factors(coef: Fraction, qexp: IntPoly, factor_map: dict):
                 exp = _parity_reduce(exp)
             # the constant part of the exponent folds into the coefficient:
             # c^(P + n) = c^n * c^P
-            n = exp.constant_part()
+            n = exp.const_value()
             if n != 0 and n.denominator == 1:
                 coef *= atom.base ** int(n)
                 exp = exp.without_constant()
@@ -674,27 +668,20 @@ def _cs_pow(s: CSum, e: IntPoly) -> CSum:
             "a canonically zero expression cannot be inverted or raised "
             "to a symbolic power"
         )
-    if e.is_const():
-        n = e.const_value()
-        if n.denominator == 1:
-            n = int(n)
-            single = s.single()
-            if single is not None:
-                return _term_pow_const(single, n)
-            if n == 0:
-                return CS_ONE
-            if n == 1:
-                return s
-            content, body = _content_split(s)
-            return _cs_mul(_cs_pow(_cs_const(content), e),
-                           _make_term(Fraction(1), IntPoly(),
-                                      {AAdd(body): IntPoly.const(n)}))
-    # symbolic exponent
     single = s.single()
+    if e.is_const() and e.const_value().denominator == 1:
+        n = int(e.const_value())
+        if single is not None:
+            return _term_pow_const(single, n)
+        if n == 0:
+            return CS_ONE
+        if n == 1:
+            return s
     if single is None:
         content, body = _content_split(s)
         return _cs_mul(_cs_pow(_cs_const(content), e),
                        _make_term(Fraction(1), IntPoly(), {AAdd(body): e}))
+    # one term to a symbolic power
     if single.coef == 0:
         return CS_ZERO
     fm = {atom: exp * e for atom, exp in single.factors}
@@ -725,7 +712,7 @@ def _canon_poch(arg: CSum, base: IntPoly, length) -> CSum:
     if isinstance(length, IntPoly):
         if length.is_zero():
             return CS_ONE
-        c = length.constant_part()
+        c = length.const_value()
         rest = length.without_constant()
         if c.denominator == 1 and int(c) > 0:
             c = int(c)
@@ -745,35 +732,24 @@ def _canon_poch(arg: CSum, base: IntPoly, length) -> CSum:
                       {APoch(arg, base, length): IntPoly.const(1)})
 
 
-def _canon_omega(h: IntPoly, length) -> CSum:
-    if h.is_const():
-        hv = h.const_value()
-        if hv == 1:
-            return CS_ONE
-        if hv == 2:
-            neg_q = CSum((CTerm(Fraction(-1), IntPoly.const(1), ()),))
-            return _canon_poch(neg_q, IntPoly.const(1), length)
-    qh = _cs_qpow(h)
-    q1 = _cs_qpow(IntPoly.const(1))
-    num = _canon_poch(qh, h, length)
-    den = _canon_poch(q1, IntPoly.const(1), length)
-    return _cs_mul(num, _cs_inv(den))
+def _canon_collapse(collapse, h: IntPoly, length, two) -> CSum:
+    """The quotient of the Pochhammer triples (q^a; q^b)_k that `collapse`
+    (qkernel.omega_collapse or stride_collapse) gives for h and length:
+    1 for h = 1, and for h = 2 the single symbol (c*q; q^b)_length for
+    two = (c, b)."""
+    hv = h.const_value() if h.is_const() else None
+    if hv == 1:
+        return CS_ONE
+    if hv == 2:
+        c, b = two
+        return _canon_poch(CSum((CTerm(Fraction(c), IntPoly.const(1), ()),)),
+                           IntPoly.const(b), length)
 
+    def poch(a, b, k):  # a, b: an int or IntPoly; k: None for inf
+        return _canon_poch(_cs_qpow(IntPoly() + a), IntPoly() + b, INF if k is None else k)
 
-def _canon_stride(h: IntPoly, length) -> CSum:
-    if h.is_const():
-        hv = h.const_value()
-        if hv == 1:
-            return CS_ONE
-        if hv == 2:
-            q1 = _cs_qpow(IntPoly.const(1))
-            return _canon_poch(q1, IntPoly.const(2), length)
-    q1 = _cs_qpow(IntPoly.const(1))
-    qh = _cs_qpow(h)
-    outer_len = length if not isinstance(length, IntPoly) else h * length
-    num = _canon_poch(q1, IntPoly.const(1), outer_len)
-    den = _canon_poch(qh, h, length)
-    return _cs_mul(num, _cs_inv(den))
+    top, bottom = collapse(None if length is INF else length, h)
+    return _cs_mul(poch(*top), _cs_inv(poch(*bottom)))
 
 
 def _atom_free_names(atom) -> set:
@@ -789,8 +765,6 @@ def _atom_free_names(atom) -> set:
     if isinstance(atom, ATheta):
         return set()
     if isinstance(atom, ASum):
-        return _csum_free_names(atom.body) - {atom.index}
-    if isinstance(atom, AMulti):
         return _csum_free_names(atom.body) - set(atom.indices)
     if isinstance(atom, AAdd):
         return _csum_free_names(atom.body)
@@ -806,17 +780,20 @@ def _csum_free_names(s: CSum) -> set:
     return names
 
 
-def _canon_sum_body(indices: tuple, sum_atom, body: CSum) -> CSum:
-    """Wrap a canonical summand into the atom `sum_atom(summand)` of a sum
-    over `indices`, first extracting every factor (and the index-free part
-    of coefficient and q-power) that involves none of them."""
+def _canon_sum_body(indices: tuple, start: int, stride: int, body: CSum) -> CSum:
+    """Wrap a canonical summand into the atom of a sum over `indices`, first
+    extracting the content of a multi-term summand, and every factor (and
+    the index-free part of coefficient and q-power) of a one-term summand
+    that involves none of them."""
     idxset = set(indices)
     if idxset.isdisjoint(_csum_free_names(body)):
         return _cs_mul(body, _make_term(Fraction(1), IntPoly(),
-                                        {sum_atom(CS_ONE): IntPoly.const(1)}))
+                                        {ASum(indices, start, stride, CS_ONE): IntPoly.const(1)}))
     single = body.single()
     if single is None:
-        return _make_term(Fraction(1), IntPoly(), {sum_atom(body): IntPoly.const(1)})
+        content, body = _content_split(body)
+        return _make_term(content, IntPoly(),
+                          {ASum(indices, start, stride, body): IntPoly.const(1)})
     dep_q, free_q = single.qexp.split_on(idxset)
     dep_f, free_f = {}, {}
     for atom, exp in single.factors:
@@ -824,7 +801,7 @@ def _canon_sum_body(indices: tuple, sum_atom, body: CSum) -> CSum:
             free_f[atom] = exp
         else:
             dep_f[atom] = exp
-    atom = sum_atom(_make_term(Fraction(1), dep_q, dep_f))
+    atom = ASum(indices, start, stride, _make_term(Fraction(1), dep_q, dep_f))
     free_f[atom] = _poly_add(free_f.get(atom), IntPoly.const(1))
     return _make_term(single.coef, free_q, free_f)
 
@@ -849,9 +826,11 @@ def canon(e: Expr) -> CSum:
             return _canon_poch(walk(node.arg, binders, depth),
                                ren(node.base, binders), ren(node.length, binders))
         if isinstance(node, OmegaProd):
-            return _canon_omega(ren(node.h, binders), ren(node.length, binders))
+            return _canon_collapse(omega_collapse, ren(node.h, binders),
+                                   ren(node.length, binders), (-1, 1))
         if isinstance(node, StrideProd):
-            return _canon_stride(ren(node.h, binders), ren(node.length, binders))
+            return _canon_collapse(stride_collapse, ren(node.h, binders),
+                                   ren(node.length, binders), (1, 2))
         if isinstance(node, Theta):
             return _make_term(Fraction(1), IntPoly(),
                               {ATheta(node.kind): IntPoly.const(1)})
@@ -872,18 +851,13 @@ def canon(e: Expr) -> CSum:
         if isinstance(node, Pow):
             return _cs_pow(walk(node.base, binders, depth),
                            ren(node.exponent, binders))
-        if isinstance(node, Sum):
-            cname = f"i{depth}"
-            inner = walk(node.summand, {**binders, node.index: cname}, depth + 1)
-            return _canon_sum_body((cname,), partial(ASum, cname, node.start, node.stride),
-                                   inner)
-        if isinstance(node, MultiSum):
-            if len(node.indices) == 1:
-                return walk(Sum(node.indices[0], 0, 1, node.summand), binders, depth)
-            cnames = tuple(f"i{depth + i}" for i in range(len(node.indices)))
-            newb = {**binders, **dict(zip(node.indices, cnames))}
-            inner = walk(node.summand, newb, depth + len(node.indices))
-            return _canon_sum_body(cnames, partial(AMulti, cnames), inner)
+        if isinstance(node, (Sum, MultiSum)):
+            indices = _bound_indices(node)
+            cnames = tuple(f"i{depth + i}" for i in range(len(indices)))
+            inner = walk(node.summand, {**binders, **dict(zip(indices, cnames))},
+                         depth + len(indices))
+            start, stride = (node.start, node.stride) if isinstance(node, Sum) else (0, 1)
+            return _canon_sum_body(cnames, start, stride, inner)
         raise TypeError(f"unknown expression node {node!r}")
 
     def ren(p, binders):
@@ -910,8 +884,8 @@ def _rebuild_atom(atom) -> Expr:
     if isinstance(atom, ATheta):
         return Theta(atom.kind)
     if isinstance(atom, ASum):
-        return Sum(atom.index, atom.start, atom.stride, rebuild(atom.body))
-    if isinstance(atom, AMulti):
+        if len(atom.indices) == 1:
+            return Sum(atom.indices[0], atom.start, atom.stride, rebuild(atom.body))
         return MultiSum(atom.indices, rebuild(atom.body))
     if isinstance(atom, AAdd):
         return rebuild(atom.body)

@@ -67,9 +67,6 @@ class IntPoly:
                 out.add(s)
         return out
 
-    def constant_part(self) -> Fraction:
-        return self.terms.get(_EMPTY, Fraction(0))
-
     def without_constant(self) -> "IntPoly":
         return IntPoly({m: c for m, c in self.terms.items() if m != _EMPTY})
 

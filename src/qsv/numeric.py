@@ -226,7 +226,7 @@ def _theta_sum(q, tol, total, k, term_fn) -> mpc:
             raise NonConvergence("theta sum did not converge")
 
 
-def sum_with_tail_bound(term_fn, tol, max_terms=MAX_TERMS, tail_run=TAIL_RUN):
+def sum_with_tail_bound(term_fn, tol, tail_run=TAIL_RUN):
     """Sum term_fn(0), term_fn(1), ... until the tail is certified small.
 
     Stops when `tail_run` consecutive terms each have magnitude below
@@ -237,7 +237,7 @@ def sum_with_tail_bound(term_fn, tol, max_terms=MAX_TERMS, tail_run=TAIL_RUN):
     small_run = 0
     prev_mag = None
     k = 0
-    while k < max_terms:
+    while k < MAX_TERMS:
         term = to_cnum(term_fn(k))
         check_finite(term)
         total += term
@@ -263,4 +263,4 @@ def sum_with_tail_bound(term_fn, tol, max_terms=MAX_TERMS, tail_run=TAIL_RUN):
         if mag != 0:
             prev_mag = mag
         k += 1
-    raise NonConvergence(f"sum did not converge within {max_terms} terms")
+    raise NonConvergence(f"sum did not converge within {MAX_TERMS} terms")

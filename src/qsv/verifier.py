@@ -28,7 +28,7 @@ from .engine import (
     eval_exact,
     eval_numeric,
 )
-from .errors import LineageKindUnsupported, QsvError, UnknownId
+from .errors import ConstraintViolation, LineageKindUnsupported, QsvError, UnknownId
 from .exact import DEFAULT_ORDER, ParamValue, QSeries
 from .expr import Mul, MultiSum, OmegaProd, StrideProd, canon, substitute, walk
 
@@ -192,44 +192,28 @@ def _admissible_exact(record: IdentityRecord, params, exps) -> bool:
 def default_exact_grid(record: IdentityRecord) -> list:
     """A small, deterministic, admissible set of substitution points:
     parameter rotations over the value pool zipped against the exponent
-    stream, admissibility-filtered, topped up from a wider product search
-    if fewer than GRID_MIN survive."""
+    stream, admissibility-filtered until the target is met, then topped up
+    from a wider product search while fewer than GRID_MIN survive."""
     if not record.params and not record.exps:
         return [GridPoint({}, {})]
     exp_stream = list(_exp_assignments(record))
-    target = GRID_MIN if _has_multisum(record) else GRID_TARGET
-    points = []
-    seen = set()
-
-    def key(params, exps):
-        return (tuple(sorted((k, (v.coeff, v.qpow)) for k, v in params.items())),
-                tuple(sorted(exps.items())))
-
     param_stream = list(itertools.islice(_param_assignments(record), 250))
-    primary = max(len(exp_stream), min(len(param_stream), target))
-    for i in range(primary):
-        params = param_stream[i % len(param_stream)]
-        exps = exp_stream[i % len(exp_stream)]
-        k = key(params, exps)
-        if k in seen:
+    target = GRID_MIN if _has_multisum(record) else GRID_TARGET
+    n_params, n_exps = len(param_stream), len(exp_stream)
+    primary = ((param_stream[i % n_params], exp_stream[i % n_exps], target)
+               for i in range(max(n_exps, min(n_params, target))))
+    top_up = ((params, exps, GRID_MIN) for params in param_stream for exps in exp_stream)
+    points, seen = [], set()
+    for params, exps, stop in itertools.chain(primary, top_up):
+        if len(points) >= stop:
+            break
+        key = (tuple(sorted((k, (v.coeff, v.qpow)) for k, v in params.items())),
+               tuple(sorted(exps.items())))
+        if key in seen:
             continue
-        seen.add(k)
+        seen.add(key)
         if _admissible_exact(record, params, exps):
             points.append(GridPoint(dict(params), dict(exps)))
-        if len(points) >= target:
-            return points
-    if len(points) >= GRID_MIN:
-        return points
-    for params in param_stream:
-        for exps in exp_stream:
-            k = key(params, exps)
-            if k in seen:
-                continue
-            seen.add(k)
-            if _admissible_exact(record, params, exps):
-                points.append(GridPoint(dict(params), dict(exps)))
-                if len(points) >= GRID_MIN:
-                    return points
     return points
 
 
@@ -300,49 +284,37 @@ def verify(record: IdentityRecord, point: GridPoint, *, backend: str = "exact",
     raised by evaluation, a qsv error or not, is reported as the point's
     error, `Type: message`."""
     t0 = time.perf_counter()
-    subst = render_subst(point, backend)
-    if backend == "exact":
-        report = VerifyReport(record.id, "exact", order, None, subst, "error")
-        if record.numeric_only:
-            report.error = "record is numeric-only"
-            return report
+    exact = backend == "exact"
+    report = VerifyReport(record.id, backend, order if exact else None,
+                          None if exact else tol, render_subst(point, backend), "error")
+    if exact and record.numeric_only:
+        report.error = "record is numeric-only"
+        return report
+    if exact:
         env = ExactEnv(order=order, params=point.params, exps=point.exps)
-        try:
-            lhs = eval_exact(record.lhs, env)
-            rhs = eval_exact(record.rhs, env)
-        except Exception as exc:  # a fault of qsv too: one point never ends a sweep
-            report.error = f"{type(exc).__name__}: {exc}"
-            report.wall_ms = int((time.perf_counter() - t0) * 1000)
-            return report
-        report.lhs_digest = series_digest(lhs)
-        report.rhs_digest = series_digest(rhs)
-        if lhs == rhs:
-            report.status = "pass"
-        else:
-            report.status = "mismatch"
-            report.first_mismatch_order = next(
-                i for i in range(order) if lhs.coeffs[i] != rhs.coeffs[i])
+        evaluate, digest = eval_exact, series_digest
     else:
-        report = VerifyReport(record.id, "numeric", None, tol, subst, "error")
         env = NumericEnv(q=point.q if point.q is not None else 0.2,
                          params=point.params, exps=point.exps, tol=tol)
-        if not numeric_constraints_ok(record, env):
-            report.error = "ConstraintViolation: magnitude constraints violated"
-            report.wall_ms = int((time.perf_counter() - t0) * 1000)
-            return report
-        try:
-            lhs = eval_numeric(record.lhs, env)
-            rhs = eval_numeric(record.rhs, env)
-        except Exception as exc:  # a fault of qsv too: one point never ends a sweep
-            report.error = f"{type(exc).__name__}: {exc}"
-            report.wall_ms = int((time.perf_counter() - t0) * 1000)
-            return report
-        report.lhs_digest = value_digest(lhs)
-        report.rhs_digest = value_digest(rhs)
-        scale = max(abs(lhs), abs(rhs), mpmath.mpf(1e-30))
-        rel = float(abs(lhs - rhs) / scale)
-        report.relative_diff = rel
-        report.status = "pass" if rel <= tol else "mismatch"
+        evaluate, digest = eval_numeric, value_digest
+    try:
+        if not exact and not numeric_constraints_ok(record, env):
+            raise ConstraintViolation("magnitude constraints violated")
+        lhs = evaluate(record.lhs, env)
+        rhs = evaluate(record.rhs, env)
+    except Exception as exc:  # a fault of qsv too: one point never ends a sweep
+        report.error = f"{type(exc).__name__}: {exc}"
+    else:
+        report.lhs_digest, report.rhs_digest = digest(lhs), digest(rhs)
+        if exact:
+            report.status = "pass" if lhs == rhs else "mismatch"
+            if lhs != rhs:
+                report.first_mismatch_order = next(
+                    i for i, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b)
+        else:
+            scale = max(abs(lhs), abs(rhs), mpmath.mpf(1e-30))
+            report.relative_diff = float(abs(lhs - rhs) / scale)
+            report.status = "pass" if report.relative_diff <= tol else "mismatch"
     report.wall_ms = int((time.perf_counter() - t0) * 1000)
     return report
 

@@ -159,6 +159,19 @@ identity nonunit {{
         assert "ZeroConstantTerm" in out
 
 
+@pytest.mark.parametrize("order", ["0", "-3"])
+@pytest.mark.parametrize("command", [("check", "unequal"), ("check-all",),
+                                     ("eval", "poch(q;q)_inf")])
+def test_order_below_one_is_usage_error(capsys, tmp_path, command, order):
+    # truncated to no coefficients, the two sides 1 and 2 would compare equal
+    catalog = tmp_path / "unequal.qsv"
+    catalog.write_text('identity unequal { anchor "t"; lhs = 1; rhs = 2; }')
+    where = () if command[0] == "eval" else ("--catalog", str(catalog))
+    code, out, err = run(capsys, *command, *where, "--order", order)
+    assert code == 2
+    assert out == "" and "--order: must be at least 1" in err
+
+
 def test_check_all_filtered(capsys, tmp_path):
     report = tmp_path / "r.json"
     code, out, _ = run(capsys, "check-all", "--filter", "1.6.6",

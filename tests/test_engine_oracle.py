@@ -214,7 +214,7 @@ def closed_expr(draw, depth=2, idx=None):
         if idx and draw(st.booleans()):
             poly = poly + dipping(draw, idx)
         return QPow(poly)
-    choice = draw(st.integers(0, 6))
+    choice = draw(st.integers(0, 7))
     if choice == 0:
         return Add(draw(closed_expr(depth=depth - 1, idx=idx)),
                    draw(closed_expr(depth=depth - 1, idx=idx)))
@@ -249,7 +249,33 @@ def closed_expr(draw, depth=2, idx=None):
         return Sum("k", draw(st.integers(0, 1)), draw(st.integers(1, 2)), summand)
     if choice == 5 and idx is None:
         return MultiSum(("j", "k"), two_index_summand(draw, depth))
+    if choice == 6:
+        return Div(draw(closed_expr(depth=depth - 1, idx=idx)), draw(invertible()))
     return Neg(draw(closed_expr(depth=depth - 1, idx=idx)))
+
+
+@st.composite
+def invertible(draw):
+    """An index-free series whose constant term is nonzero at every value
+    of PVALS: c + q*x (negated, or to a power >= 1), (a; q)_len, (b; q)_len,
+    a theta series or sum(m=0..inf; q^m)."""
+    from qsv.intpoly import IntPoly
+
+    kind = draw(st.integers(0, 3))
+    if kind == 0:
+        e = Add(Const(F(draw(st.sampled_from([-2, -1, 1, 3])))),
+                Mul(QPow(IntPoly.const(1)), draw(closed_expr(depth=0))))
+        if draw(st.booleans()):
+            e = Neg(e)
+        if draw(st.booleans()):
+            e = Pow(e, IntPoly.const(draw(st.integers(1, 2))))
+        return e
+    if kind == 1:
+        length = draw(st.sampled_from([INF, IntPoly.const(1), IntPoly.const(3)]))
+        return Poch(Param(draw(st.sampled_from(["a", "b"]))), IntPoly.const(1), length)
+    if kind == 2:
+        return Theta(draw(st.sampled_from(["psi", "phi_minus"])))
+    return Sum("m", 0, 1, QPow(IntPoly.symbol("m")))
 
 
 def dipping(draw, idx):
@@ -510,7 +536,7 @@ class PlainNumeric(NumericEvaluator):
                 total += self._eval(e.summand, {**sym, **dict(zip(e.indices, assignment))})
             return total
 
-        return num.sum_with_tail_bound(shell, self.tol, max_terms=2000, tail_run=5)
+        return num.sum_with_tail_bound(shell, self.tol, tail_run=5)
 
 
 def bits(z):

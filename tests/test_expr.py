@@ -134,7 +134,7 @@ def expr_strategy(draw, depth=3, idx=None):
         if choice == 1:
             return Param(draw(names))
         return QPow(draw(intpoly_strategy(idx)))
-    choice = draw(st.integers(0, 6))
+    choice = draw(st.integers(0, 7))
     if choice == 0:
         return Add(draw(expr_strategy(depth=depth - 1, idx=idx)),
                    draw(expr_strategy(depth=depth - 1, idx=idx)))
@@ -153,6 +153,9 @@ def expr_strategy(draw, depth=3, idx=None):
     if choice == 5 and idx is None:
         return Sum("k", draw(st.integers(0, 1)), draw(st.integers(1, 2)),
                    draw(expr_strategy(depth=depth - 1, idx="k")))
+    if choice == 6 and idx is None:
+        return MultiSum(("j", "k"), Mul(draw(expr_strategy(depth=depth - 1, idx="j")),
+                                        draw(expr_strategy(depth=depth - 1, idx="k"))))
     inner = draw(expr_strategy(depth=depth - 1, idx=idx))
     if isinstance(inner, Const):
         # the concrete syntax folds a minus sign into a literal

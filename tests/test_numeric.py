@@ -193,9 +193,10 @@ def test_sum_tail_bound_geometric():
     assert rel_err(total, mpc(2)) < 1e-13
 
 
-def test_sum_tail_bound_nonconvergent():
+def test_sum_tail_bound_nonconvergent(monkeypatch):
+    monkeypatch.setattr(num, "MAX_TERMS", 500)
     with pytest.raises(NonConvergence):
-        num.sum_with_tail_bound(lambda k: mpc(1), 1e-12, max_terms=500)
+        num.sum_with_tail_bound(lambda k: mpc(1), 1e-12)
 
 
 def test_non_finite_aborts():
