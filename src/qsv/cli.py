@@ -8,6 +8,7 @@ unknown-id errors; 3 precondition or convergence errors.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from fractions import Fraction
@@ -274,6 +275,14 @@ def truncation_order(text: str) -> int:
     return order
 
 
+def tolerance(text: str) -> float:
+    """A relative tolerance: a finite float > 0."""
+    tol = float(text)
+    if not 0 < tol < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, got {text}")
+    return tol
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qsv",
@@ -284,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--order", type=truncation_order, default=DEFAULT_ORDER,
                        help="truncation order for the exact backend")
         p.add_argument("--backend", choices=backends, default="exact")
-        p.add_argument("--tolerance", type=float, default=num.IDENTITY_TOL,
+        p.add_argument("--tolerance", type=tolerance, default=num.IDENTITY_TOL,
                        help="relative tolerance for the numeric backend")
         if catalog:
             p.add_argument("--catalog", help="catalog file path "

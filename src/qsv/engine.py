@@ -79,14 +79,10 @@ from .expr import (
 from .intpoly import ZERO, IntPoly, increasing_from
 from .qkernel import (
     ThetaKind,
-    omega_collapse,
-    omega_product_collapse,
     poch_finite,
     poch_finite_inv,
     poch_infinite,
     poch_infinite_inv,
-    stride_base_product,
-    stride_collapse,
     theta_series,
 )
 
@@ -299,7 +295,7 @@ class ExactEvaluator:
             return (m.pow(-1) if inverse else m).to_series(N)
         if isinstance(e, Neg):
             return series_scale(self._eval(e.arg, idxenv, inverse), -1)
-        if isinstance(e, (Mul, Div)):
+        if isinstance(e, (Mul, Div, OmegaProd, StrideProd)):
             return self._eval_product(e, idxenv, inverse)
         if isinstance(e, Pow):
             n = e.exponent.eval_int(idxenv)
@@ -307,7 +303,7 @@ class ExactEvaluator:
             if m is not None:
                 return m.pow(-n if inverse else n).to_series(N)
             return series_pow(self._eval(e.base, idxenv, inverse), n)
-        if isinstance(e, (Poch, OmegaProd, StrideProd)):
+        if isinstance(e, Poch):
             return self._eval_symbol(e, idxenv, inverse)
         if isinstance(e, Add):
             s = series_add(self._eval(e.left, idxenv), self._eval(e.right, idxenv))
@@ -333,6 +329,10 @@ class ExactEvaluator:
         return series_inv(s)
 
     def _flatten_product(self, e, inverted, out):
+        """Append e's parts as (node, inverted) pairs; qomega and qstride
+        give the two Pochhammer symbols of their quotient."""
+        if isinstance(e, (OmegaProd, StrideProd)):
+            e = e.quotient()
         if isinstance(e, Mul):
             self._flatten_product(e.left, inverted, out)
             self._flatten_product(e.right, inverted, out)
@@ -390,14 +390,8 @@ class ExactEvaluator:
         return series_shift(product(series_parts, reduced), mono.coeff, mono.qpow, N)
 
     def _eval_symbol(self, e, idxenv, inverse: bool) -> QSeries:
-        """A Poch, OmegaProd or StrideProd node, or its reciprocal."""
+        """A Poch node, or its reciprocal."""
         N = self.order
-        if not isinstance(e, Poch):
-            h = self._base_exp(e.h, idxenv)
-            length = self._length(e.length, idxenv)
-            fn = (omega_product_collapse if isinstance(e, OmegaProd)
-                  else stride_base_product)
-            return fn(length, h, N, inverse=inverse)
         arg = self.monomial(e.arg, idxenv)
         base = self._base_exp(e.base, idxenv)
         length = self._length(e.length, idxenv)
@@ -440,7 +434,7 @@ class SumPlan:
     that needs them, into the running series, and binomials 1 +- m (m an
     index-dependent monomial) are applied per term.  Chains -- finite
     (x; q^h)_len with x != 1 and h index-free, also to a fixed power >= 1,
-    and qomega/qstride through their qkernel collapse triples -- stay in the
+    among them the two symbols of a qomega or qstride quotient -- stay in the
     running series, which a term moves to its lengths by each factor
     (1 - x q^(x.qpow + h*i)) in between.  One running series is kept per
     index level (the first term under the current values of the indices up
@@ -540,7 +534,7 @@ class SumPlan:
         fixed = [] if self._levels is None else None
         for kind, target, rule, inv in self.steps:  # in product order, as _eval raises
             if kind == "chain":
-                lengths.extend(rule(ev._length(target, idxenv)))
+                lengths.append(ev._length(target, idxenv))
             elif kind == "binomial":
                 m = ev.monomial(target, idxenv)
                 if inv and m.qpow == 0 and rule * m.coeff == -1:
@@ -602,9 +596,9 @@ class SumPlan:
 
     def _step(self, node, inv, names, idxenv):
         """The per-term step of an index-dependent series part: ("chain",
-        length, rule giving the lengths of the chains it appended, None),
-        ("binomial", m, sign, inv), or ("eval", node, None, inv) for a part
-        evaluated whole at each term."""
+        length, None, None) for the chain it appended, ("binomial", m,
+        sign, inv), or ("eval", node, None, inv) for a part evaluated whole
+        at each term."""
         ev, power = self.ev, -1 if inv else 1
         whole = ("eval", node, None, inv)
         if isinstance(node, Pow) and isinstance(node.base, Poch):
@@ -620,13 +614,7 @@ class SumPlan:
             if x is None or (x.qpow == 0 and x.coeff == 1):
                 return whole
             self.chains.append((-x.coeff, x.qpow, ev._base_exp(node.base, idxenv), power))
-            return ("chain", node.length, lambda n: (n,), None)
-        if isinstance(node, (OmegaProd, StrideProd)) and node.h.symbols().isdisjoint(names):
-            h = ev._base_exp(node.h, idxenv)
-            collapse = omega_collapse if isinstance(node, OmegaProd) else stride_collapse
-            (a, b, _), (c, d, _) = collapse(0, h)
-            self.chains += [(-1, a, b, power), (-1, c, d, -power)]
-            return ("chain", node.length, lambda n: [t[2] for t in collapse(n, h)], None)
+            return ("chain", node.length, None, None)
         if (isinstance(node, (Add, Sub)) and free_names(node.left).isdisjoint(names)
                 and ev.monomial(node.left, idxenv) == ParamValue(Fraction(1), 0)
                 and ev.monomial(node.right, idxenv) is not None
@@ -775,8 +763,12 @@ class NumericEvaluator:
             return self._products.complex_index(x, qbase,
                                                 self._poly(e.length, sym))
         if isinstance(e, (OmegaProd, StrideProd)):
-            collapse = omega_collapse if isinstance(e, OmegaProd) else stride_collapse
-            return self._ratio_prod(e.length, sym, self._poly_posint(e.h, sym), collapse)
+            self._poly_posint(e.h, sym)
+            if e.length is not INF:
+                n = num.near_int(self._poly(e.length, sym))
+                if n is None or n < 0:
+                    raise NonIntegerExponent("product length must be a non-negative integer")
+            return ev(e.quotient(), sym, plan)
         if isinstance(e, Theta):
             fn = (num.theta_psi_numeric if e.kind == "psi"
                   else num.theta_phi_minus_numeric)
@@ -786,29 +778,6 @@ class NumericEvaluator:
         if isinstance(e, MultiSum):
             return self._eval_msum(e, sym)
         raise TypeError(f"unknown expression node {e!r}")
-
-    def _ratio_prod(self, length, sym, h, collapse):
-        """The quotient that `collapse`, qkernel's omega or stride collapse,
-        describes."""
-        if length is INF:
-            n = None
-        else:
-            n = num.near_int(self._poly(length, sym))
-            if n is None or n < 0:
-                raise NonIntegerExponent("product length must be a non-negative integer")
-        top, bottom = collapse(n, h)
-        num_, den = self._collapse_factor(top), self._collapse_factor(bottom)
-        if den == 0:
-            raise DivisionByZeroProduct("product denominator vanished")
-        return num.check_finite(num_ / den)
-
-    def _collapse_factor(self, triple):
-        """(q^a; q^b)_k for a collapse triple (a, b, k), k None for inf."""
-        a, b, k = triple
-        x, qbase = self._qbase(a), self._qbase(b)
-        if k is None:
-            return self._products.inf(x, qbase)
-        return self._products.finite(x, qbase, k)
 
     def _eval_sum(self, e: Sum, sym) -> mpc:
         plan = NumericPlan((e.index,), e.summand)

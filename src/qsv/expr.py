@@ -19,7 +19,6 @@ from fractions import Fraction
 from .errors import IndexShadowing, UnknownName
 from .exact import ParamValue
 from .intpoly import IntPoly
-from .qkernel import omega_collapse, stride_collapse
 
 # ---------------------------------------------------------------------------
 # surface AST
@@ -81,6 +80,12 @@ class OmegaProd(Expr):
     h: IntPoly
     length: IntPoly | Inf
 
+    def quotient(self) -> Div:
+        """(q^h;q^h)_len / (q;q)_len, the value every layer reads."""
+        one = IntPoly.const(1)
+        return Div(Poch(QPow(self.h), self.h, self.length),
+                   Poch(QPow(one), one, self.length))
+
 
 @dataclass(frozen=True)
 class StrideProd(Expr):
@@ -88,6 +93,14 @@ class StrideProd(Expr):
 
     h: IntPoly
     length: IntPoly | Inf
+
+    def quotient(self) -> Div:
+        """(q;q)_{h*len} / (q^h;q^h)_len ((q;q)_inf / (q^h;q^h)_inf for len
+        inf), the value every layer reads."""
+        one = IntPoly.const(1)
+        top = INF if self.length is INF else self.h * self.length
+        return Div(Poch(QPow(one), one, top),
+                   Poch(QPow(self.h), self.h, self.length))
 
 
 @dataclass(frozen=True)
@@ -732,26 +745,6 @@ def _canon_poch(arg: CSum, base: IntPoly, length) -> CSum:
                       {APoch(arg, base, length): IntPoly.const(1)})
 
 
-def _canon_collapse(collapse, h: IntPoly, length, two) -> CSum:
-    """The quotient of the Pochhammer triples (q^a; q^b)_k that `collapse`
-    (qkernel.omega_collapse or stride_collapse) gives for h and length:
-    1 for h = 1, and for h = 2 the single symbol (c*q; q^b)_length for
-    two = (c, b)."""
-    hv = h.const_value() if h.is_const() else None
-    if hv == 1:
-        return CS_ONE
-    if hv == 2:
-        c, b = two
-        return _canon_poch(CSum((CTerm(Fraction(c), IntPoly.const(1), ()),)),
-                           IntPoly.const(b), length)
-
-    def poch(a, b, k):  # a, b: an int or IntPoly; k: None for inf
-        return _canon_poch(_cs_qpow(IntPoly() + a), IntPoly() + b, INF if k is None else k)
-
-    top, bottom = collapse(None if length is INF else length, h)
-    return _cs_mul(poch(*top), _cs_inv(poch(*bottom)))
-
-
 def _atom_free_names(atom) -> set:
     if isinstance(atom, AParam):
         return {atom.name}
@@ -825,12 +818,14 @@ def canon(e: Expr) -> CSum:
         if isinstance(node, Poch):
             return _canon_poch(walk(node.arg, binders, depth),
                                ren(node.base, binders), ren(node.length, binders))
-        if isinstance(node, OmegaProd):
-            return _canon_collapse(omega_collapse, ren(node.h, binders),
-                                   ren(node.length, binders), (-1, 1))
-        if isinstance(node, StrideProd):
-            return _canon_collapse(stride_collapse, ren(node.h, binders),
-                                   ren(node.length, binders), (1, 2))
+        if isinstance(node, (OmegaProd, StrideProd)):
+            # at h = 2 the quotient is one symbol, (-q;q)_len or (q;q^2)_len,
+            # the form the h = 2 cases of the catalog are written in
+            if node.h == IntPoly.const(2):
+                q = QPow(IntPoly.const(1))
+                arg, base = (Neg(q), 1) if isinstance(node, OmegaProd) else (q, 2)
+                return walk(Poch(arg, IntPoly.const(base), node.length), binders, depth)
+            return walk(node.quotient(), binders, depth)
         if isinstance(node, Theta):
             return _make_term(Fraction(1), IntPoly(),
                               {ATheta(node.kind): IntPoly.const(1)})

@@ -24,8 +24,6 @@ from .exact import (
 # test_tracer_patches_every_binding_site_and_restores_them reads this binding.
 from .exact import series_mul_binomial  # noqa: F401
 
-_ONE = Fraction(1)
-
 
 def _check_shape(h: int, k: int = 0):
     """The domain shared by every symbol here: base exponent h >= 1 (h = 0
@@ -117,51 +115,6 @@ def poch_stride_product(a: ParamValue, r: int, k: int, h_inner: int, order: int)
         shifted = ParamValue(a.coeff, a.qpow + h_inner * j)
         out = series_mul(out, poch_finite(shifted, r * h_inner, k, order))
     return out
-
-
-def omega_collapse(j, h: int):
-    """The primitive-root product (q*w, q*w^2, ..., q*w^{h-1}; q)_j, w a
-    primitive h-th root of unity, equals (q^h;q^h)_j / (q;q)_j.  Returned
-    as (top, bottom) Pochhammer triples (argument q-power, base exponent,
-    length); a length of None means inf."""
-    return (h, h, j), (1, 1, j)
-
-
-def stride_collapse(j, h: int):
-    """(q, q^2, ..., q^{h-1}; q^h)_j equals (q;q)_{hj} / (q^h;q^h)_j (for
-    j = inf, (q;q)_inf / (q^h;q^h)_inf); triples as in omega_collapse."""
-    return (1, 1, None if j is None else h * j), (h, h, j)
-
-
-def _poch_quotient(top, bottom, order: int, inverse: bool) -> QSeries:
-    """The quotient of two collapse triples, or its reciprocal when
-    inverse."""
-    if inverse:
-        top, bottom = bottom, top
-    (xp, h, k), (yp, g, m) = top, bottom
-    x, y = ParamValue(_ONE, xp), ParamValue(_ONE, yp)
-    num = poch_infinite(x, h, order) if k is None else poch_finite(x, h, k, order)
-    den_inv = (poch_infinite_inv(y, g, order) if m is None
-               else poch_finite_inv(y, g, m, order))
-    return series_mul(num, den_inv)
-
-
-def omega_product_collapse(j, h: int, order: int, inverse: bool = False) -> QSeries:
-    """omega_collapse(j, h) over the exact backend, or its reciprocal when
-    inverse.  For j = inf pass j=None."""
-    _check_shape(h, j or 0)
-    if h == 1:
-        return series_one(order)
-    return _poch_quotient(*omega_collapse(j, h), order, inverse)
-
-
-def stride_base_product(j, h: int, order: int, inverse: bool = False) -> QSeries:
-    """stride_collapse(j, h) over the exact backend, or its reciprocal when
-    inverse.  Empty product for h=1."""
-    _check_shape(h, j or 0)
-    if h == 1:
-        return series_one(order)
-    return _poch_quotient(*stride_collapse(j, h), order, inverse)
 
 
 class ThetaKind(Enum):

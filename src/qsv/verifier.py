@@ -13,7 +13,7 @@ import hashlib
 import itertools
 import json
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import mpmath
@@ -87,6 +87,15 @@ class VerifyReport:
     rhs_digest: str | None = None
     wall_ms: int = 0
     error: str | None = None  # cause, not part of the JSON schema
+
+
+def _error_report(record: IdentityRecord, backend: str, order: int, tol: float,
+                  subst: dict, error: str | None = None) -> VerifyReport:
+    """A report with status error, as `verify` starts one; of order and
+    tolerance, the one the backend does not use is None."""
+    exact = backend == "exact"
+    return VerifyReport(record.id, backend, order if exact else None,
+                        None if exact else tol, subst, "error", error=error)
 
 
 def _nodes(record: IdentityRecord):
@@ -285,8 +294,7 @@ def verify(record: IdentityRecord, point: GridPoint, *, backend: str = "exact",
     error, `Type: message`."""
     t0 = time.perf_counter()
     exact = backend == "exact"
-    report = VerifyReport(record.id, backend, order if exact else None,
-                          None if exact else tol, render_subst(point, backend), "error")
+    report = _error_report(record, backend, order, tol, render_subst(point, backend))
     if exact and record.numeric_only:
         report.error = "record is numeric-only"
         return report
@@ -328,12 +336,7 @@ def verify_record(record: IdentityRecord, *, backend: str = "exact",
         points = (default_exact_grid(record) if backend == "exact"
                   else default_numeric_grid(record))
     if not points:
-        report = VerifyReport(record.id, backend,
-                              order if backend == "exact" else None,
-                              None if backend == "exact" else tol,
-                              {}, "error")
-        report.error = "no admissible grid point"
-        return [report]
+        return [_error_report(record, backend, order, tol, {}, "no admissible grid point")]
     return [verify(record, p, backend=backend, order=order, tol=tol)
             for p in points]
 
@@ -373,22 +376,8 @@ def emit_report(reports: list) -> str:
             "failed": failed,
             "errored": errored,
         },
-        "results": [
-            {
-                "id": r.id,
-                "backend": r.backend,
-                "order": r.order,
-                "tolerance": r.tolerance,
-                "subst": r.subst,
-                "status": r.status,
-                "first_mismatch_order": r.first_mismatch_order,
-                "relative_diff": r.relative_diff,
-                "lhs_digest": r.lhs_digest,
-                "rhs_digest": r.rhs_digest,
-                "wall_ms": r.wall_ms,
-            }
-            for r in reports
-        ],
+        "results": [{f.name: getattr(r, f.name) for f in fields(r) if f.name != "error"}
+                    for r in reports],
     }
     return json.dumps(doc, indent=2)
 

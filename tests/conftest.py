@@ -25,6 +25,37 @@ def catalog(catalog_records):
     return {r.id: r for r in catalog_records}
 
 
+def multibasic_record(m: int) -> str:
+    """Catalog text of the multibasic transformation over m indices, in the
+    shape of gb-qlauricella-m3 (its m = 3 case), under the id
+    multibasic-m<m>."""
+    ix = range(1, m + 1)
+    params = ", ".join([f"a{i}" for i in ix] + ["b", "w"] + [f"z{i}" for i in ix])
+    exps = ", ".join([f"h{i}" for i in ix] + ["t"])
+    constraints = ", ".join([f"abs(z{i}) < 1" for i in ix] + ["abs(w) < 1"]
+                            + [f"abs(q^h{i}) < 1" for i in ix] + ["abs(q^t) < 1"])
+    length = "+".join(f"h{i}*k{i}" for i in ix)
+    lhs = " * ".join([f"poch(a{i}; q^h{i})_k{i} / poch(q^h{i}; q^h{i})_k{i}" for i in ix]
+                     + [f"poch(w; q^t)_({length}) / poch(b*w; q^t)_({length})"]
+                     + [f"z{i}^k{i}" for i in ix])
+    rhs = " * ".join(["poch(w; q^t)_inf / poch(b*w; q^t)_inf"]
+                     + [f"poch(a{i}*z{i}; q^h{i})_inf / poch(z{i}; q^h{i})_inf" for i in ix])
+    body = " * ".join(["poch(b; q^t)_j / poch(q^t; q^t)_j"]
+                      + [f"poch(z{i}; q^h{i})_(t*j) / poch(a{i}*z{i}; q^h{i})_(t*j)"
+                         for i in ix] + ["w^j"])
+    indices = ", ".join(f"k{i}" for i in ix)
+    return f"""
+identity multibasic-m{m} {{
+  anchor "multibasic transformation, {m} indices";
+  params {params};
+  exps {exps};
+  constraints {constraints};
+  lhs = msum({indices}; {lhs});
+  rhs = {rhs} * sum(j=0..inf; {body});
+}}
+"""
+
+
 #: node class -> the fault a site of that class takes
 SITE_KINDS = {QPow: "qpow", Pow: "pow", Poch: "len", Const: "const", Param: "param"}
 

@@ -159,17 +159,26 @@ identity nonunit {{
         assert "ZeroConstantTerm" in out
 
 
-@pytest.mark.parametrize("order", ["0", "-3"])
+@pytest.mark.parametrize("option,value,message", [
+    ("--order", "0", "must be at least 1"),
+    ("--order", "-3", "must be at least 1"),
+    ("--tolerance", "0", "must be a finite number > 0"),
+    ("--tolerance", "-1", "must be a finite number > 0"),
+    ("--tolerance", "nan", "must be a finite number > 0"),
+    ("--tolerance", "inf", "must be a finite number > 0"),
+])
 @pytest.mark.parametrize("command", [("check", "unequal"), ("check-all",),
                                      ("eval", "poch(q;q)_inf")])
-def test_order_below_one_is_usage_error(capsys, tmp_path, command, order):
-    # truncated to no coefficients, the two sides 1 and 2 would compare equal
+def test_order_or_tolerance_out_of_range_is_usage_error(capsys, tmp_path, command,
+                                                        option, value, message):
+    # truncated to no coefficients, the two sides 1 and 2 would compare
+    # equal; at tolerance -1 a numeric check would run each sum to the cap
     catalog = tmp_path / "unequal.qsv"
     catalog.write_text('identity unequal { anchor "t"; lhs = 1; rhs = 2; }')
     where = () if command[0] == "eval" else ("--catalog", str(catalog))
-    code, out, err = run(capsys, *command, *where, "--order", order)
+    code, out, err = run(capsys, *command, *where, f"{option}={value}")
     assert code == 2
-    assert out == "" and "--order: must be at least 1" in err
+    assert out == "" and f"{option}: {message}" in err
 
 
 def test_check_all_filtered(capsys, tmp_path):

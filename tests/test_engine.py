@@ -22,7 +22,7 @@ from qsv.engine import (
     fl_rhs_numeric,
 )
 from qsv.errors import NonConvergence, NonIntegerExponent, NonTruncatable, ValuationStall
-from qsv.exact import ParamValue, series_add, series_inv, series_mul
+from qsv.exact import ParamValue, series_add, series_inv, series_mul, series_one
 from qsv.expr import Sum
 from qsv.qkernel import ThetaKind, poch_infinite, theta_series
 
@@ -116,6 +116,60 @@ def test_negative_exponent_rejected():
     env = ExactEnv(order=8, exps={"t": 1})
     with pytest.raises(NonIntegerExponent):
         eval_exact(parse_expr("q^(t-2)"), env)
+
+
+# -- qomega and qstride: the Pochhammer quotients they equal -------------------
+
+
+def exact_series(text, order, **exps):
+    return eval_exact(parse_expr(text), ExactEnv(order=order, exps=exps))
+
+
+def test_qomega_quotient():
+    assert exact_series("qomega(1)_3", 12) == series_one(12)
+    # h = 2, j = 1: (1-q^2)/(1-q) = 1+q
+    assert [int(c) for c in exact_series("qomega(2)_1", 6).coeffs] == [1, 1, 0, 0, 0, 0]
+    # infinite form agrees with the ratio of infinite products
+    expected = series_mul(poch_infinite(pv(1, 2), 2, 16),
+                          series_inv(poch_infinite(pv(1, 1), 1, 16)))
+    assert exact_series("qomega(2)_inf", 16) == expected
+
+
+def test_qomega_quotient_matches_literal_complex_product():
+    # h = 3, j = 2: the rational quotient equals the literal product
+    # (q w; q)_2 (q w^2; q)_2 with w = exp(2 pi i/3), evaluated at q = 0.2
+    q = mpmath.mpf("0.2")
+    quotient = exact_series("qomega(3)_2", 40).eval_at(q)
+    w = num.root_of_unity(3)
+    literal = (num.qpoch_finite_numeric(q * w, q, 2)
+               * num.qpoch_finite_numeric(q * w ** 2, q, 2))
+    assert abs(mpc(quotient) - literal) < 1e-12
+
+
+def test_qstride_quotient():
+    assert exact_series("qstride(1)_4", 10) == series_one(10)
+    # (q;q^2)_2 = (1-q)(1-q^3)
+    got = exact_series("qstride(2)_2", 8)
+    assert [int(c) for c in got.coeffs] == [1, -1, 0, -1, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("backend,text,exps,message", [
+    ("numeric", "qomega(2)_n", {"n": 1.5}, "product length must be a non-negative integer"),
+    ("numeric", "qstride(2)_n", {"n": -1}, "product length must be a non-negative integer"),
+    ("numeric", "qomega(h)_2", {"h": 1.5}, "h must be a positive integer"),
+    ("exact", "qstride(h)_2", {"h": 0}, "base exponent h = 0 < 1"),
+    ("exact", "1/qstride(h)_2", {"h": 0}, "base exponent h = 0 < 1"),
+    ("exact", "1/qomega(2)_(n-1)", {"n": 0}, "Pochhammer length -1 \\+ n = -1 < 0"),
+], ids=["omega-len-1.5", "stride-len-1", "omega-h1.5", "stride-h0", "stride-inv-h0",
+        "omega-inv-j-1"])
+def test_qomega_qstride_check_base_and_length(backend, text, exps, message):
+    # unchecked, the quotient would read (q;q)_1.5 as a complex-index
+    # product and (q;q)_-2 as a division by zero
+    with pytest.raises(NonIntegerExponent, match=message):
+        if backend == "exact":
+            exact_series(text, 8, **exps)
+        else:
+            eval_numeric(parse_expr(text), NumericEnv(q=0.2, exps=exps))
 
 
 def test_monomial_power_paths():

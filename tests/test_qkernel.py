@@ -10,14 +10,12 @@ from qsv.errors import NonTruncatable
 from qsv.exact import ParamValue, QSeries, series_inv, series_mul, series_one
 from qsv.qkernel import (
     ThetaKind,
-    omega_product_collapse,
     poch_elementary_ratio,
     poch_finite,
     poch_finite_inv,
     poch_infinite,
     poch_infinite_inv,
     poch_stride_product,
-    stride_base_product,
     theta_product,
     theta_series,
 )
@@ -175,40 +173,6 @@ def test_plus_minus_pairing(coeff, qpow, k):
     assert left == poch_finite(sq, 2, k, 24)
 
 
-def test_omega_product_collapse():
-    assert omega_product_collapse(3, 1, 12) == series_one(12)
-    # h = 2, j = 1: (1-q^2)/(1-q) = 1+q
-    got = omega_product_collapse(1, 2, 6)
-    assert [int(c) for c in got.coeffs] == [1, 1, 0, 0, 0, 0]
-    # infinite form agrees with the ratio of infinite products
-    got_inf = omega_product_collapse(None, 2, 16)
-    expected = series_mul(poch_infinite(pv(1, 2), 2, 16),
-                          series_inv(poch_infinite(pv(1, 1), 1, 16)))
-    assert got_inf == expected
-
-
-def test_omega_product_collapse_matches_literal_complex_product():
-    # h = 3, j = 2: the rational collapse equals the literal product
-    # (q w; q)_2 (q w^2; q)_2 with w = exp(2 pi i/3), evaluated at q = 0.2
-    import mpmath
-
-    from qsv.numeric import qpoch_finite_numeric, root_of_unity
-
-    q = mpmath.mpf("0.2")
-    collapsed = omega_product_collapse(2, 3, 40).eval_at(q)
-    w = root_of_unity(3)
-    literal = (qpoch_finite_numeric(q * w, q, 2)
-               * qpoch_finite_numeric(q * w ** 2, q, 2))
-    assert abs(mpmath.mpc(collapsed) - literal) < 1e-12
-
-
-def test_stride_base_product():
-    assert stride_base_product(4, 1, 10) == series_one(10)
-    # (q;q^2)_2 = (1-q)(1-q^3)
-    got = stride_base_product(2, 2, 8)
-    assert [int(c) for c in got.coeffs] == [1, -1, 0, -1, 1, 0, 0, 0]
-
-
 @pytest.mark.parametrize("call", [
     lambda: poch_finite(pv(1, 1), 0, 3, 8),
     lambda: poch_finite_inv(pv(1, 1), 0, 3, 8),
@@ -216,10 +180,8 @@ def test_stride_base_product():
     lambda: poch_infinite_inv(pv(1, 1), 0, 8),
     lambda: poch_finite(pv(1, 1), 1, -1, 8),
     lambda: poch_finite_inv(pv(1, 1), 1, -1, 8),
-    lambda: omega_product_collapse(-1, 2, 8, inverse=True),
-    lambda: stride_base_product(2, 0, 8, inverse=True),
 ], ids=["finite-h0", "finite-inv-h0", "infinite-h0", "infinite-inv-h0",
-        "finite-k-1", "finite-inv-k-1", "omega-inv-j-1", "stride-inv-h0"])
+        "finite-k-1", "finite-inv-k-1"])
 def test_symbols_reject_bad_base_or_length(call):
     with pytest.raises(ValueError, match="base exponent|length"):
         call()

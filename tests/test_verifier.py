@@ -7,11 +7,12 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import perturb_record
+from conftest import multibasic_record, perturb_record
 from qsv.dsl import parse_catalog, parse_expr
 from qsv.engine import ExactEnv, eval_exact
 from qsv.errors import LineageKindUnsupported
 from qsv.exact import ParamValue
+from qsv.expr import canon
 from qsv.verifier import (
     GridPoint,
     default_exact_grid,
@@ -284,6 +285,25 @@ def test_mutation_sensitivity(catalog):
         assert found_mismatch, rid
 
 
+# -- the multibasic family past the catalog's m = 3 ----------------------------
+
+
+def test_multibasic_generator_gives_the_catalog_record_at_m3(catalog):
+    record, = parse_catalog(multibasic_record(3))
+    m3 = catalog["gb-qlauricella-m3"]
+    assert ((record.params, record.exps, record.constraints)
+            == (m3.params, m3.exps, m3.constraints))
+    assert canon(record.lhs) == canon(m3.lhs) and canon(record.rhs) == canon(m3.rhs)
+
+
+def test_multibasic_m5_passes_at_its_first_grid_point():
+    # an exact msum cap that counted every prefix of the walk broke m >= 4
+    record, = parse_catalog(multibasic_record(5))
+    point = default_exact_grid(record)[0]
+    report = verify(record, point, order=32)
+    assert (report.status, report.error) == ("pass", None)
+
+
 # -- report emission -------------------------------------------------------------------
 
 
@@ -300,6 +320,19 @@ def test_emit_report_schema(catalog):
                            "lhs_digest", "rhs_digest", "wall_ms"]
     assert entry["status"] == "pass"
     assert entry["order"] == 32
+
+
+@pytest.mark.parametrize("backend,order,tolerance", [("exact", 64, None),
+                                                     ("numeric", None, 1e-9)])
+def test_emit_report_no_admissible_grid_point(backend, order, tolerance):
+    record, = parse_catalog("""
+identity never { anchor "t"; params z; constraints abs(z) < 0; lhs = z; rhs = z; }
+""")
+    doc = json.loads(emit_report(verify_record(record, backend=backend)))
+    assert doc["results"] == [{
+        "id": "never", "backend": backend, "order": order, "tolerance": tolerance,
+        "subst": {}, "status": "error", "first_mismatch_order": None,
+        "relative_diff": None, "lhs_digest": None, "rhs_digest": None, "wall_ms": 0}]
 
 
 def test_emit_report_mismatch_field(catalog):
