@@ -23,6 +23,7 @@ and the stride family (q, ..., q^{h-1}; q^h)_len.  '#' starts a comment.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -42,26 +43,24 @@ from .expr import (
     Pow,
     QPow,
     StrideProd,
-    Sub,
     Sum,
     Theta,
     free_names,
 )
 from .intpoly import IntPoly
 
-_PUNCT = ("..", "{", "}", "(", ")", ";", ",", "=", "+", "-", "*", "/", "^", "_", "<")
-
-_KEYWORDS = {
-    "identity", "anchor", "params", "exps", "constraints", "lineage",
-    "backend", "lhs", "rhs", "sum", "msum", "poch", "qomega", "qstride",
-    "psi", "phi_minus", "inf", "step", "tri", "binom2", "abs", "parent",
-    "kind", "sub", "factor", "swap", "q",
-}
+_BLANK = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
+# The group names are the token kinds.  NUMBER is the decimal digits int()
+# reads.  A NAME goes on with \w (str.isalnum or '_') and starts with a
+# str.isalpha letter, which _scan checks: [^\W\d_] also takes '½' and '²'.
+_TOKEN = re.compile(r'(?P<NUMBER>\d+)|(?P<NAME>[^\W\d_]\w*)|"(?P<STRING>[^"\n]*)"'
+                    r"|(?P<PUNCT>\.\.|[{}();,=+\-*/^_<])")
+_ID = re.compile(r"[\w.-]+")
 
 
 @dataclass
 class Token:
-    kind: str  # NAME NUMBER STRING PUNCT EOF
+    kind: str  # NAME NUMBER STRING PUNCT ID EOF
     value: str
     line: int
     col: int
@@ -72,28 +71,18 @@ class Lexer:
         self.text = text
         self.pos = 0
         self.line = 1
-        self.col = 1
+        self.line_start = 0  # offset of the current line's first character
         self._peeked = None
 
-    def _advance(self, n=1):
-        for _ in range(n):
-            if self.pos < len(self.text) and self.text[self.pos] == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-            self.pos += 1
-
-    def _skip_ws(self):
-        while self.pos < len(self.text):
-            ch = self.text[self.pos]
-            if ch in " \t\r\n":
-                self._advance()
-            elif ch == "#":
-                while self.pos < len(self.text) and self.text[self.pos] != "\n":
-                    self._advance()
-            else:
-                break
+    def _match(self, pattern):
+        """Skip blanks and comments, the only text a newline can be in, then
+        match pattern: (match or None, line, col)."""
+        blank = _BLANK.match(self.text, self.pos)
+        self.pos = blank.end()
+        if "\n" in blank.group():
+            self.line += blank.group().count("\n")
+            self.line_start = self.text.rindex("\n", 0, self.pos) + 1
+        return pattern.match(self.text, self.pos), self.line, self.pos - self.line_start + 1
 
     def peek(self) -> Token:
         if self._peeked is None:
@@ -106,54 +95,27 @@ class Lexer:
         return tok
 
     def read_id(self) -> Token:
-        """Scan a raw identity id ([A-Za-z0-9._-]+); ids may contain dots
-        and dashes, which are operators in expression position."""
+        """Scan a raw identity id; ids may contain dots and dashes, which
+        are operators in expression position."""
         if self._peeked is not None:
             raise RuntimeError("read_id after peek")
-        self._skip_ws()
-        line, col = self.line, self.col
-        start = self.pos
-        while self.pos < len(self.text) and (
-            self.text[self.pos].isalnum() or self.text[self.pos] in "._-"
-        ):
-            self._advance()
-        if self.pos == start:
+        m, line, col = self._match(_ID)
+        if m is None:
             raise ParseError("expected an identity id", line, col, ["id"])
-        return Token("ID", self.text[start:self.pos], line, col)
+        self.pos = m.end()
+        return Token("ID", m.group(), line, col)
 
     def _scan(self) -> Token:
-        self._skip_ws()
-        line, col = self.line, self.col
-        if self.pos >= len(self.text):
+        m, line, col = self._match(_TOKEN)
+        if self.pos == len(self.text):
             return Token("EOF", "", line, col)
         ch = self.text[self.pos]
-        if ch == '"':
-            self._advance()
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos] not in '"\n':
-                self._advance()
-            if self.pos >= len(self.text) or self.text[self.pos] != '"':
+        if m is None or (m.lastgroup == "NAME" and not ch.isalpha()):
+            if ch == '"':
                 raise ParseError("unterminated string", line, col, ['"'])
-            value = self.text[start:self.pos]
-            self._advance()
-            return Token("STRING", value, line, col)
-        if ch.isdigit():
-            start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self._advance()
-            return Token("NUMBER", self.text[start:self.pos], line, col)
-        if ch.isalpha():
-            start = self.pos
-            while self.pos < len(self.text) and (
-                self.text[self.pos].isalnum() or self.text[self.pos] == "_"
-            ):
-                self._advance()
-            return Token("NAME", self.text[start:self.pos], line, col)
-        for p in _PUNCT:
-            if self.text.startswith(p, self.pos):
-                self._advance(len(p))
-                return Token("PUNCT", p, line, col)
-        raise ParseError(f"unexpected character {ch!r}", line, col)
+            raise ParseError(f"unexpected character {ch!r}", line, col)
+        self.pos = m.end()
+        return Token(m.lastgroup, m.group(m.lastgroup), line, col)
 
 
 @dataclass(frozen=True)
@@ -235,7 +197,7 @@ class Parser:
         while self.at_punct("+") or self.at_punct("-"):
             op = self.lex.next().value
             right = self.parse_mulchain()
-            left = Add(left, right) if op == "+" else Sub(left, right)
+            left = Add(left, right if op == "+" else Neg(right))
         return left
 
     def parse_mulchain(self) -> Expr:
@@ -409,9 +371,10 @@ class Parser:
         stride = 1
         if self.at_name("step"):
             self.lex.next()
+            tok = self.lex.peek()
             stride = self.expect_number()
             if stride < 1:
-                raise ParseError("step must be >= 1")
+                self._err("step must be >= 1", tok)
         self.expect_punct(";")
         summand = self.parse_expr()
         self.expect_punct(")")
@@ -449,60 +412,20 @@ class Parser:
         self.expect_name("identity")
         rid = self.lex.read_id().value
         self.expect_punct("{")
-        anchor = ""
-        params: tuple = ()
-        exps: tuple = ()
-        constraints: tuple = ()
-        lineage = None
-        numeric_only = False
-        lhs = rhs = None
+        fields = {"anchor": "", "params": (), "exps": (), "constraints": (),
+                  "lineage": None, "backend": False, "lhs": None, "rhs": None}
         while not self.at_punct("}"):
-            tok = self.lex.peek()
+            tok = self.lex.next()
             if tok.kind != "NAME":
-                self._err(f"expected a clause, found {tok.value!r}", tok,
-                          ["anchor", "params", "exps", "constraints",
-                           "lineage", "backend", "lhs", "rhs"])
-            clause = tok.value
-            if clause == "anchor":
-                self.lex.next()
-                stok = self.lex.next()
-                if stok.kind != "STRING":
-                    self._err("anchor needs a quoted string", stok, ['"'])
-                anchor = stok.value
-            elif clause == "params":
-                self.lex.next()
-                params = self._name_list()
-            elif clause == "exps":
-                self.lex.next()
-                exps = self._name_list()
-            elif clause == "constraints":
-                self.lex.next()
-                constraints = self._comma_list(self._parse_constraint)
-            elif clause == "lineage":
-                self.lex.next()
-                lineage = self._parse_lineage()
-            elif clause == "backend":
-                self.lex.next()
-                which = self.expect_name().value
-                if which not in ("exact", "numeric"):
-                    raise ParseError(f"unknown backend {which!r}")
-                numeric_only = which == "numeric"
-            elif clause == "lhs":
-                self.lex.next()
-                self.expect_punct("=")
-                lhs = self.parse_expr()
-            elif clause == "rhs":
-                self.lex.next()
-                self.expect_punct("=")
-                rhs = self.parse_expr()
-            else:
-                self._err(f"unknown clause {clause!r}", tok)
+                self._err(f"expected a clause, found {tok.value!r}", tok, list(self._CLAUSES))
+            if tok.value not in self._CLAUSES:
+                self._err(f"unknown clause {tok.value!r}", tok)
+            fields[tok.value] = self._CLAUSES[tok.value](self)
             self.expect_punct(";")
-        self.expect_punct("}")
-        if lhs is None or rhs is None:
-            raise ParseError(f"identity {rid!r} must define both lhs and rhs")
-        record = IdentityRecord(rid, anchor, params, exps, lhs, rhs,
-                                constraints, lineage, numeric_only)
+        end = self.expect_punct("}")
+        if fields["lhs"] is None or fields["rhs"] is None:
+            self._err(f"identity {rid!r} must define both lhs and rhs", end)
+        record = IdentityRecord(rid, numeric_only=fields.pop("backend"), **fields)
         _validate_record(record)
         return record
 
@@ -531,9 +454,10 @@ class Parser:
         parent = self.lex.read_id().value
         self.expect_name("kind")
         self.expect_punct("=")
-        kind = self.expect_name().value
+        tok = self.expect_name()
+        kind = tok.value
         if kind not in ("direct", "limit", "rebase"):
-            raise ParseError(f"unknown lineage kind {kind!r}")
+            self._err(f"unknown lineage kind {kind!r}", tok)
         sub = []
         factor = None
         swap = False
@@ -558,6 +482,28 @@ class Parser:
         if isinstance(value, Const) and value.value.denominator == 1:
             return (name, int(value.value))
         return (name, value)
+
+    # the reader of each clause, in the order errors list them
+    def _read_anchor(self) -> str:
+        tok = self.lex.next()
+        if tok.kind != "STRING":
+            self._err("anchor needs a quoted string", tok, ['"'])
+        return tok.value
+
+    def _read_backend(self) -> bool:
+        tok = self.expect_name()
+        if tok.value not in ("exact", "numeric"):
+            self._err(f"unknown backend {tok.value!r}", tok)
+        return tok.value == "numeric"
+
+    def _read_side(self) -> Expr:
+        self.expect_punct("=")
+        return self.parse_expr()
+
+    _CLAUSES = {"anchor": _read_anchor, "params": _name_list, "exps": _name_list,
+                "constraints": lambda self: self._comma_list(self._parse_constraint),
+                "lineage": _parse_lineage, "backend": _read_backend,
+                "lhs": _read_side, "rhs": _read_side}
 
 
 def _validate_record(record: IdentityRecord):
@@ -642,9 +588,9 @@ def render_expr(e: Expr, prec: int = 0) -> str:
     if isinstance(e, Neg):
         text = "-" + render_expr(e.arg, _PREC_UNARY)
         return f"({text})" if prec >= _PREC_MUL else text
-    if isinstance(e, (Add, Sub)):
-        op = " + " if isinstance(e, Add) else " - "
-        text = render_expr(e.left, _PREC_ADD) + op + render_expr(e.right, _PREC_MUL)
+    if isinstance(e, Add):  # Add(x, Neg(y)) is x - y
+        op, right = (" - ", e.right.arg) if isinstance(e.right, Neg) else (" + ", e.right)
+        text = render_expr(e.left, _PREC_ADD) + op + render_expr(right, _PREC_MUL)
         return f"({text})" if prec > _PREC_ADD else text
     if isinstance(e, (Mul, Div)):
         op = " * " if isinstance(e, Mul) else " / "

@@ -70,7 +70,6 @@ from .expr import (
     Pow,
     QPow,
     StrideProd,
-    Sub,
     Sum,
     Theta,
     free_names,
@@ -221,7 +220,7 @@ class ExactEvaluator:
             return (e.exponent.subst(env),)
         if isinstance(e, Neg):
             return self._bound(e.arg, env, names, guards)
-        if isinstance(e, (Add, Sub, Mul)):
+        if isinstance(e, (Add, Mul)):
             a = self._bound(e.left, env, names, guards)
             b = self._bound(e.right, env, names, guards)
             if isinstance(e, Mul) and (a == () or b == ()):
@@ -252,7 +251,7 @@ class ExactEvaluator:
     def _nonzero(self, e: Expr, env, names, guards) -> bool:
         """Whether e's constant term is provably nonzero wherever no
         polynomial appended to guards is 0: an index-free e by const0,
-        once; 1 +- c*q^p or a Pochhammer argument c*q^p by the guard p."""
+        once; 1 + c*q^p or a Pochhammer argument c*q^p by the guard p."""
         if free_names(e).isdisjoint(names):
             return self.const0(e, env) not in (None, 0)
         if isinstance(e, (Neg, Pow)):
@@ -266,7 +265,7 @@ class ExactEvaluator:
             if free_names(e.arg).isdisjoint(names):
                 return self.const0(e.arg, env) not in (None, 1)
             mono = e.arg
-        elif isinstance(e, (Add, Sub)) and free_names(e.left).isdisjoint(names):
+        elif isinstance(e, Add) and free_names(e.left).isdisjoint(names):
             if self.const0(e.left, env) in (None, 0):
                 return False
             mono = e.right
@@ -307,9 +306,6 @@ class ExactEvaluator:
             return self._eval_symbol(e, idxenv, inverse)
         if isinstance(e, Add):
             s = series_add(self._eval(e.left, idxenv), self._eval(e.right, idxenv))
-        elif isinstance(e, Sub):
-            right = series_scale(self._eval(e.right, idxenv), -1)
-            s = series_add(self._eval(e.left, idxenv), right)
         elif isinstance(e, Theta):
             kind = ThetaKind.PSI if e.kind == "psi" else ThetaKind.PHI_MINUS
             s = theta_series(kind, N)
@@ -431,7 +427,7 @@ class SumPlan:
     Catalog summands are q-hypergeometric in their indices.  Of the parts
     `_eval_product` sees, monomials are evaluated per term (once if
     index-free), index-free series are evaluated once, at the first term
-    that needs them, into the running series, and binomials 1 +- m (m an
+    that needs them, into the running series, and binomials 1 + m (m an
     index-dependent monomial) are applied per term.  Chains -- finite
     (x; q^h)_len with x != 1 and h index-free, also to a fixed power >= 1,
     among them the two symbols of a qomega or qstride quotient -- stay in the
@@ -532,14 +528,14 @@ class SumPlan:
         """The product of the series parts at this term, modulo q^reduced."""
         ev, lengths, binomials, evaluated = self.ev, [], [], []
         fixed = [] if self._levels is None else None
-        for kind, target, rule, inv in self.steps:  # in product order, as _eval raises
+        for kind, target, inv in self.steps:  # in product order, as _eval raises
             if kind == "chain":
                 lengths.append(ev._length(target, idxenv))
             elif kind == "binomial":
                 m = ev.monomial(target, idxenv)
-                if inv and m.qpow == 0 and rule * m.coeff == -1:
+                if inv and m.qpow == 0 and m.coeff == -1:
                     raise ZeroConstantTerm("cannot invert a series with zero constant term")
-                binomials.append((rule * m.coeff, m.qpow, inv))
+                binomials.append((m.coeff, m.qpow, inv))
             elif kind == "eval" or fixed is not None:
                 value = ev._eval(target, idxenv, inv)
                 (evaluated if kind == "eval" else fixed).append(value)
@@ -590,17 +586,17 @@ class SumPlan:
         for node, inv in self.parts:
             self.steps.append(self._step(node, inv, names, idxenv)
                               if not free_names(node).isdisjoint(names)
-                              else ("fixed", node, None, inv))
+                              else ("fixed", node, inv))
         self._levels = None  # built from the fixed parts at the first move
         self._last = (None,) * len(self.indices)  # no term yet
 
     def _step(self, node, inv, names, idxenv):
         """The per-term step of an index-dependent series part: ("chain",
-        length, None, None) for the chain it appended, ("binomial", m,
-        sign, inv), or ("eval", node, None, inv) for a part evaluated whole
-        at each term."""
+        length, None) for the chain it appended, ("binomial", m, inv) for
+        1 + m, or ("eval", node, inv) for a part evaluated whole at each
+        term."""
         ev, power = self.ev, -1 if inv else 1
-        whole = ("eval", node, None, inv)
+        whole = ("eval", node, inv)
         if isinstance(node, Pow) and isinstance(node.base, Poch):
             n = node.exponent.eval_int(idxenv)
             if not node.exponent.symbols().isdisjoint(names) or n < 1:
@@ -614,12 +610,12 @@ class SumPlan:
             if x is None or (x.qpow == 0 and x.coeff == 1):
                 return whole
             self.chains.append((-x.coeff, x.qpow, ev._base_exp(node.base, idxenv), power))
-            return ("chain", node.length, None, None)
-        if (isinstance(node, (Add, Sub)) and free_names(node.left).isdisjoint(names)
+            return ("chain", node.length, None)
+        if (isinstance(node, Add) and free_names(node.left).isdisjoint(names)
                 and ev.monomial(node.left, idxenv) == ParamValue(Fraction(1), 0)
                 and ev.monomial(node.right, idxenv) is not None
                 and not any(isinstance(n, Div) for n, _ in walk(node.right))):
-            return ("binomial", node.right, 1 if isinstance(node, Add) else -1, inv)
+            return ("binomial", node.right, inv)
         return whole
 
 
@@ -676,6 +672,7 @@ class NumericEvaluator:
     maps exponent symbols and the bound summation indices to their values.
     """
 
+    @mpmath.workdps(num.WORK_DPS)
     def __init__(self, env: NumericEnv):
         self.env = env
         self.q = num.to_cnum(env.q)
@@ -716,6 +713,7 @@ class NumericEvaluator:
         except KeyError:
             raise UnknownName(f"unbound parameter {name!r}") from None
 
+    @mpmath.workdps(num.WORK_DPS)
     def eval(self, e: Expr, idxenv=None) -> mpc:
         return self._eval(e, self._bind(idxenv))
 
@@ -744,8 +742,6 @@ class NumericEvaluator:
             return -ev(e.arg, sym, plan)
         if isinstance(e, Add):
             return ev(e.left, sym, plan) + ev(e.right, sym, plan)
-        if isinstance(e, Sub):
-            return ev(e.left, sym, plan) - ev(e.right, sym, plan)
         if isinstance(e, Mul):
             return ev(e.left, sym, plan) * ev(e.right, sym, plan)
         if isinstance(e, Div):
@@ -809,6 +805,7 @@ class NumericEvaluator:
 
         return num.sum_with_tail_bound(shell, self.tol, tail_run=5)
 
+    @mpmath.workdps(num.WORK_DPS)
     def sum_sectioned_roots(self, summand, index, r, s, idxenv=None) -> mpc:
         """Root-of-unity averaging route for the sectioned sum: average the
         full sums with the summand twisted by w^(nu*index)."""
@@ -875,6 +872,7 @@ def eval_numeric(e: Expr, env: NumericEnv) -> mpc:
 # ---------------------------------------------------------------------------
 
 
+@mpmath.workdps(num.WORK_DPS)
 def fl_lhs_numeric(a, b, c, z, q, p, r, s, u, v, tol=num.IDENTITY_TOL) -> mpc:
     """sum_k (a;q)_{rk+s}/(q;q)_{rk+s} * (b;p)_{uk+v}/(c;p)_{uk+v} * z^k."""
     a, b, c, z, q, p = map(num.to_cnum, (a, b, c, z, q, p))
@@ -889,6 +887,7 @@ def fl_lhs_numeric(a, b, c, z, q, p, r, s, u, v, tol=num.IDENTITY_TOL) -> mpc:
     return num.sum_with_tail_bound(term, tol)
 
 
+@mpmath.workdps(num.WORK_DPS)
 def fl_rhs_numeric(a, b, c, z, q, p, r, s, u, v, tol=num.IDENTITY_TOL) -> mpc:
     """(1/r) (b;p)_inf/(c;p)_inf sum_{nu<r} w^{-s nu} z^{-s/r}
     sum_j (c/b;p)_j/(p;p)_j * (a w^nu z^{1/r} p^{uj/r};q)_inf /

@@ -13,6 +13,7 @@ attempted.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -115,12 +116,6 @@ class Neg(Expr):
 
 @dataclass(frozen=True)
 class Add(Expr):
-    left: Expr
-    right: Expr
-
-
-@dataclass(frozen=True)
-class Sub(Expr):
     left: Expr
     right: Expr
 
@@ -834,9 +829,6 @@ def canon(e: Expr) -> CSum:
         if isinstance(node, Add):
             return _cs_add(walk(node.left, binders, depth),
                            walk(node.right, binders, depth))
-        if isinstance(node, Sub):
-            return _cs_add(walk(node.left, binders, depth),
-                           _cs_mul(_cs_const(-1), walk(node.right, binders, depth)))
         if isinstance(node, Mul):
             return _cs_mul(walk(node.left, binders, depth),
                            walk(node.right, binders, depth))
@@ -927,14 +919,7 @@ def _rebuild_term(t: CTerm) -> Expr:
 def rebuild(s: CSum) -> Expr:
     if s.is_zero():
         return ZERO
-    exprs = [_rebuild_term(t) for t in s.terms]
-    out = exprs[0]
-    for e in exprs[1:]:
-        if isinstance(e, Neg):
-            out = Sub(out, e.arg)
-        else:
-            out = Add(out, e)
-    return out
+    return functools.reduce(Add, map(_rebuild_term, s.terms))
 
 
 def normalize(e: Expr) -> Expr:

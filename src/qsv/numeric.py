@@ -26,7 +26,8 @@ SCALAR_TOL = 1e-12
 IDENTITY_TOL = 1e-9
 
 #: Working precision in decimal digits; ~100 bits, at least twice the bit
-#: budget of the tightest default tolerance.
+#: budget of the tightest default tolerance.  The engine's entry points set
+#: it per call with mpmath.workdps; importing qsv leaves mpmath.mp alone.
 WORK_DPS = 30
 
 #: Hard cap on series terms before declaring non-convergence.
@@ -34,13 +35,6 @@ MAX_TERMS = 100_000
 
 #: Consecutive small terms required before the tail test may fire.
 TAIL_RUN = 20
-
-
-def set_precision(dps: int = WORK_DPS):
-    mpmath.mp.dps = dps
-
-
-set_precision()
 
 
 def to_cnum(value) -> mpc:

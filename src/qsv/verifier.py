@@ -226,6 +226,7 @@ def default_exact_grid(record: IdentityRecord) -> list:
     return points
 
 
+@mpmath.workdps(num.WORK_DPS)
 def numeric_constraints_ok(record: IdentityRecord, env: NumericEnv) -> bool:
     ev = NumericEvaluator(env)
     for constraint in record.constraints:
@@ -320,8 +321,9 @@ def verify(record: IdentityRecord, point: GridPoint, *, backend: str = "exact",
                 report.first_mismatch_order = next(
                     i for i, (a, b) in enumerate(zip(lhs.coeffs, rhs.coeffs)) if a != b)
         else:
-            scale = max(abs(lhs), abs(rhs), mpmath.mpf(1e-30))
-            report.relative_diff = float(abs(lhs - rhs) / scale)
+            with mpmath.workdps(num.WORK_DPS):
+                scale = max(abs(lhs), abs(rhs), mpmath.mpf(1e-30))
+                report.relative_diff = float(abs(lhs - rhs) / scale)
             report.status = "pass" if report.relative_diff <= tol else "mismatch"
     report.wall_ms = int((time.perf_counter() - t0) * 1000)
     return report

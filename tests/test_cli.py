@@ -47,6 +47,22 @@ def test_eval_parse_error_exit_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("expr", ["q^²", "2²"])
+def test_eval_non_ascii_digit_is_parse_error(capsys, expr):
+    # str.isdigit accepts '²' but int() does not: it is no number
+    code, out, err = run(capsys, "eval", expr)
+    assert code == 2
+    assert out == "" and "unexpected character '²'" in err
+
+
+def test_check_all_non_ascii_digit_in_catalog_exit_2(capsys, tmp_path):
+    catalog = tmp_path / "cube.qsv"
+    catalog.write_text('identity cube {\n  anchor "t";\n  lhs = q^³;\n  rhs = q^3;\n}\n')
+    code, out, err = run(capsys, "check-all", "--catalog", str(catalog))
+    assert code == 2
+    assert "unexpected character '³' at line 3, col 11" in err
+
+
 def test_eval_backend_both_is_usage_error(capsys):
     code, out, err = run(capsys, "eval", "q + 1", "--backend", "both")
     assert code == 2

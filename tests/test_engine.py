@@ -359,13 +359,14 @@ def test_numeric_finite_prefix_shrinks_and_grows():
     env = NumericEnv(q=0.3, params={"a": 0.4, "b": -0.6},
                      exps={"h": 1.5, "t": 0.7})
     ev = NumericEvaluator(env)
-    for n in (7, 3, 12):
-        for name, base in itertools.product(("a", "b"), ("h", "t")):
-            x, qbase = env.params[name], num.cpow(env.q, env.exps[base])
-            got = ev.eval(parse_expr(f"poch({name}; q^{base})_n"), {"n": n})
-            assert got == num.qpoch_finite_numeric(x, qbase, n)
-            got = ev.eval(parse_expr(f"poch({name}; q^{base})_inf"))
-            assert got == num.qpoch_inf_numeric(x, qbase, env.tol)
+    with mpmath.workdps(num.WORK_DPS):
+        for n in (7, 3, 12):
+            for name, base in itertools.product(("a", "b"), ("h", "t")):
+                x, qbase = env.params[name], num.cpow(env.q, env.exps[base])
+                got = ev.eval(parse_expr(f"poch({name}; q^{base})_n"), {"n": n})
+                assert got == num.qpoch_finite_numeric(x, qbase, n)
+                got = ev.eval(parse_expr(f"poch({name}; q^{base})_inf"))
+                assert got == num.qpoch_inf_numeric(x, qbase, env.tol)
 
 
 def test_numeric_complex_length_sum_matches_reference():
@@ -377,18 +378,19 @@ def test_numeric_complex_length_sum_matches_reference():
                      exps={"h": h, "t": t}, tol=1e-12)
     got = eval_numeric(parse_expr(f"sum(k=0..inf; {summand})"), env)
 
-    qh, qt = num.cpow(q, h), num.cpow(q, t)
-    bw = mpc(b) * mpc(w)
+    with mpmath.workdps(num.WORK_DPS):
+        qh, qt = num.cpow(q, h), num.cpow(q, t)
+        bw = mpc(b) * mpc(w)
 
-    def term(k):
-        length = mpc(h) * k
-        return (num.qpoch_complex_index(a, qh, k, env.tol)
-                / num.qpoch_complex_index(qh, qh, k, env.tol)
-                * num.qpoch_complex_index(w, qt, length, env.tol)
-                / num.qpoch_complex_index(bw, qt, length, env.tol)
-                * mpc(z) ** k)
+        def term(k):
+            length = mpc(h) * k
+            return (num.qpoch_complex_index(a, qh, k, env.tol)
+                    / num.qpoch_complex_index(qh, qh, k, env.tol)
+                    * num.qpoch_complex_index(w, qt, length, env.tol)
+                    / num.qpoch_complex_index(bw, qt, length, env.tol)
+                    * mpc(z) ** k)
 
-    assert rel_err(got, num.sum_with_tail_bound(term, env.tol)) < 1e-25
+        assert rel_err(got, num.sum_with_tail_bound(term, env.tol)) < 1e-25
 
 
 def test_numeric_memos_do_not_outlive_their_evaluator():
@@ -396,10 +398,11 @@ def test_numeric_memos_do_not_outlive_their_evaluator():
     values = []
     for q in (0.2, 0.35, 0.2):
         env = NumericEnv(q=q, params={"a": 0.3, "z": 0.25}, exps={"h": 1.5})
-        qh = num.cpow(q, 1.5)
-        expected = (num.qpoch_inf_numeric(0.3, qh, env.tol)
-                    / num.qpoch_inf_numeric(0.25, qh, env.tol)
-                    * num.qpoch_finite_numeric(0.3, qh, 5))
+        with mpmath.workdps(num.WORK_DPS):
+            qh = num.cpow(q, 1.5)
+            expected = (num.qpoch_inf_numeric(0.3, qh, env.tol)
+                        / num.qpoch_inf_numeric(0.25, qh, env.tol)
+                        * num.qpoch_finite_numeric(0.3, qh, 5))
         values.append(NumericEvaluator(env).eval(expr, {"n": 5}))
         assert values[-1] == expected
     assert values[2] == values[0] != values[1]

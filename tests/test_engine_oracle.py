@@ -39,7 +39,6 @@ from qsv.expr import (
     Pow,
     QPow,
     StrideProd,
-    Sub,
     Sum,
     Theta,
     free_names,
@@ -99,10 +98,6 @@ def naive_eval(e, env, idxenv, order):
     if isinstance(e, Add):
         return p_add(naive_eval(e.left, env, idxenv, order),
                      naive_eval(e.right, env, idxenv, order))
-    if isinstance(e, Sub):
-        right = naive_eval(e.right, env, idxenv, order)
-        return p_add(naive_eval(e.left, env, idxenv, order),
-                     {k: -v for k, v in right.items()})
     if isinstance(e, Mul):
         return p_mul(naive_eval(e.left, env, idxenv, order),
                      naive_eval(e.right, env, idxenv, order), order)

@@ -76,6 +76,57 @@ def test_parse_error_positions():
     assert err.value.line == 2
 
 
+@pytest.mark.parametrize("parse, text, line, col, message", [
+    (parse_expr, "1 + # note\n\t  )", 2, 4, "expected an expression, found ')'"),
+    (parse_expr, "a +\r\n\t)", 2, 2, "expected an expression, found ')'"),
+    (parse_catalog, 'identity x {\n  anchor "a b" 7;', 2, 16, "expected ';', found '7'"),
+    (parse_catalog, "identity gb-1.4.2-h 5", 1, 21, "expected '{', found '5'"),
+    (parse_catalog, 'identity x {\n  anchor "abc\n', 2, 10, "unterminated string"),
+    (parse_expr, "a +\t½", 1, 5, "unexpected character '½'"),
+    (parse_expr, "poch(q; q)_(  # open\n", 2, 1, "expected an exponent term, found ''"),
+])
+def test_parse_error_line_and_column(parse, text, line, col, message):
+    # comments, tabs and \r count as columns; only \n starts a new line
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert (err.value.line, err.value.col) == (line, col)
+    assert str(err.value).startswith(f"{message} at line {line}, col {col}")
+
+
+def test_parse_names_numbers_and_non_ascii_digits():
+    assert parse_expr("x²") == Param("x²")  # a name goes on with any \w
+    assert parse_expr("٣") == Const(F(3))  # a decimal digit int() reads
+    for text, ch in (("q^²", "²"), ("2²", "²"), ("½", "½")):
+        with pytest.raises(ParseError, match=f"^unexpected character {ch!r}"):
+            parse_expr(text)
+
+
+_BLOCK = 'identity x {{\n  params a;\n  lhs = {lhs};\n  {extra}\n}}'
+
+
+@pytest.mark.parametrize("text, line, col, message", [
+    (_BLOCK.format(lhs="sum(k=0..inf step 0; a^k)", extra="rhs = a;"), 3, 27,
+     "step must be >= 1"),
+    (_BLOCK.format(lhs="a", extra="rhs = a; backend fast;"), 4, 20, "unknown backend 'fast'"),
+    (_BLOCK.format(lhs="a", extra="rhs = a; lineage parent=y kind=odd;"), 4, 34,
+     "unknown lineage kind 'odd'"),
+    (_BLOCK.format(lhs="a", extra=""), 5, 1, "identity 'x' must define both lhs and rhs"),
+])
+def test_record_errors_point_at_the_token_at_fault(text, line, col, message):
+    with pytest.raises(ParseError) as err:
+        parse_catalog(text)
+    assert str(err.value) == f"{message} at line {line}, col {col}"
+
+
+def test_minus_is_add_of_neg():
+    a, b = Param("a"), Param("b")
+    assert parse_expr("a - b") == Add(a, Neg(b))
+    assert parse_expr("a - 2") == Add(a, Neg(Const(F(2))))
+    assert render_expr(parse_expr("a + -b")) == "a - b"
+    assert render_expr(parse_expr("a - -b")) == "a - (-b)"
+    assert render_expr(parse_expr("a + -2")) == "a + (-2)"
+
+
 def test_parse_sum_with_step():
     e = parse_expr("sum(k=1..inf step 2; z^k)")
     assert e == Sum("k", 1, 2, Pow(Param("z"), IntPoly.symbol("k")))

@@ -1,6 +1,10 @@
 """High-precision complex kernels: powers, Pochhammer products, roots of
 unity, and the stride/pairing identities in their literal complex form."""
 
+import os
+import subprocess
+import sys
+
 import mpmath
 import pytest
 from hypothesis import given, settings
@@ -16,6 +20,15 @@ from fractions import Fraction as F
 
 def rel_err(a, b):
     return abs(a - b) / max(abs(a), abs(b), mpmath.mpf(1e-30))
+
+
+def test_import_leaves_mpmath_precision_alone():
+    code = ("import mpmath; before = mpmath.mp.dps; import qsv, qsv.cli; "
+            "print(before, mpmath.mp.dps)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.split() == ["15", "15"]
 
 
 # -- cpow -----------------------------------------------------------------------
@@ -44,9 +57,10 @@ def test_cpow_cross_checked_against_doubled_precision():
     cases = [(0.3, mpc(1.5, 0.2)), (mpc(0.2, 0.4), mpc(-0.7, 1.1)),
              (0.9, 2.25), (mpc(-0.5, 0.1), mpc(0.3, -0.8))]
     for base, exp in cases:
-        got = num.cpow(base, exp)
-        with mpmath.workdps(2 * mpmath.mp.dps):
-            expected = mpmath.exp(mpc(exp) * mpmath.log(mpc(base)))
+        with mpmath.workdps(num.WORK_DPS):
+            got = num.cpow(base, exp)
+            with mpmath.workdps(2 * mpmath.mp.dps):
+                expected = mpmath.exp(mpc(exp) * mpmath.log(mpc(base)))
         assert rel_err(got, expected) < 1e-20
 
 
@@ -124,13 +138,14 @@ def test_complex_index_recurrence_property(xr, xi, qr, qi, kr):
 
 
 def test_root_of_unity_invariants():
-    for r in (1, 2, 3, 4, 7):
-        w = num.root_of_unity(r)
-        assert abs(w ** r - 1) < 1e-25
-        for k in range(0, 2 * r + 1):
-            total = sum(w ** (nu * k) for nu in range(r))
-            expected = r if k % r == 0 else 0
-            assert abs(total - expected) < 1e-20
+    with mpmath.workdps(num.WORK_DPS):
+        for r in (1, 2, 3, 4, 7):
+            w = num.root_of_unity(r)
+            assert abs(w ** r - 1) < 1e-25
+            for k in range(0, 2 * r + 1):
+                total = sum(w ** (nu * k) for nu in range(r))
+                expected = r if k % r == 0 else 0
+                assert abs(total - expected) < 1e-20
 
 
 @pytest.mark.parametrize("r", [2, 3, 4])
