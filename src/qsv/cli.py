@@ -57,15 +57,10 @@ def load_records(flag_value):
 
 
 def parse_numeric_value(text: str):
+    """A float, or a complex number written re+im i (the format_cnum form)."""
     t = text.strip().replace(" ", "")
     if t.endswith("i"):
-        body = t[:-1]
-        for pos in range(len(body) - 1, 0, -1):
-            if body[pos] in "+-" and body[pos - 1] not in "eE":
-                re_part = body[:pos]
-                im_part = body[pos:]
-                return complex(float(re_part), float(im_part or "1"))
-        return complex(0.0, float(body or "1"))
+        return complex(t[:-1] + "j")
     return float(t)
 
 

@@ -392,8 +392,7 @@ class Parser:
     # catalog blocks -------------------------------------------------------------
 
     def parse_catalog(self) -> list:
-        records = []
-        seen = set()
+        records = {}
         while True:
             tok = self.lex.peek()
             if tok.kind == "EOF":
@@ -401,16 +400,15 @@ class Parser:
             if not (tok.kind == "NAME" and tok.value == "identity"):
                 self._err(f"expected 'identity', found {tok.value!r}", tok,
                           ["identity"])
-            record = self.parse_identity()
-            if record.id in seen:
-                raise DuplicateId(f"duplicate identity id {record.id!r}")
-            seen.add(record.id)
-            records.append(record)
-        return records
+            record = self.parse_identity(records)
+            records[record.id] = record
+        return list(records.values())
 
-    def parse_identity(self) -> IdentityRecord:
+    def parse_identity(self, seen) -> IdentityRecord:
+        """One identity block; `seen` holds the ids of the blocks before it."""
         self.expect_name("identity")
-        rid = self.lex.read_id().value
+        id_tok = self.lex.read_id()
+        rid = id_tok.value
         self.expect_punct("{")
         fields = {"anchor": "", "params": (), "exps": (), "constraints": (),
                   "lineage": None, "backend": False, "lhs": None, "rhs": None}
@@ -426,7 +424,7 @@ class Parser:
         if fields["lhs"] is None or fields["rhs"] is None:
             self._err(f"identity {rid!r} must define both lhs and rhs", end)
         record = IdentityRecord(rid, numeric_only=fields.pop("backend"), **fields)
-        _validate_record(record)
+        _validate_record(record, id_tok, seen)
         return record
 
     def _comma_list(self, parse_item) -> tuple:
@@ -506,22 +504,22 @@ class Parser:
                 "lhs": _read_side, "rhs": _read_side}
 
 
-def _validate_record(record: IdentityRecord):
+def _validate_record(record: IdentityRecord, id_tok: Token, seen):
+    """Checks on a whole record, each raised at the record's id token."""
     declared = set(record.params) | set(record.exps)
     if set(record.params) & set(record.exps):
-        raise ParseError(f"identity {record.id!r}: params and exps overlap")
-    for side_name, side in (("lhs", record.lhs), ("rhs", record.rhs)):
-        for name in sorted(free_names(side)):
-            if name not in declared:
-                raise UndeclaredParam(
-                    f"identity {record.id!r}: undeclared parameter {name!r} in {side_name}"
-                )
-    for constraint in record.constraints:
-        for name in sorted(free_names(constraint.expr)):
-            if name not in declared:
-                raise UndeclaredParam(
-                    f"identity {record.id!r}: undeclared parameter {name!r} in constraints"
-                )
+        raise ParseError(f"identity {record.id!r}: params and exps overlap",
+                         id_tok.line, id_tok.col)
+    parts = [("lhs", record.lhs), ("rhs", record.rhs)]
+    parts += [("constraints", c.expr) for c in record.constraints]
+    for part, expr in parts:
+        undeclared = sorted(free_names(expr) - declared)
+        if undeclared:
+            raise UndeclaredParam(
+                f"identity {record.id!r}: undeclared parameter {undeclared[0]!r} in {part}",
+                id_tok.line, id_tok.col)
+    if record.id in seen:
+        raise DuplicateId(f"duplicate identity id {record.id!r}", id_tok.line, id_tok.col)
 
 
 def parse_expr(text: str) -> Expr:

@@ -73,11 +73,11 @@ class ParseError(QsvError):
         super().__init__(f"{message}{loc}{exp}")
 
 
-class DuplicateId(QsvError):
+class DuplicateId(ParseError):
     pass
 
 
-class UndeclaredParam(QsvError):
+class UndeclaredParam(ParseError):
     pass
 
 

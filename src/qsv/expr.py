@@ -17,7 +17,7 @@ import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import IndexShadowing, UnknownName
+from .errors import IndexShadowing, UnknownName, ZeroConstantTerm
 from .exact import ParamValue
 from .intpoly import IntPoly
 
@@ -178,21 +178,26 @@ def pv_expr(pv: ParamValue) -> Expr:
 # node fields
 # ---------------------------------------------------------------------------
 #
-# Each node field is one of three kinds, read off its annotation: an Expr
+# Each node field is one of four kinds, read off its annotation: an Expr
 # is a sub-expression, an IntPoly (or a length, which may also be INF) is
-# an exponent polynomial, and anything else is plain data.  The generic
-# walks below (free names, substitution, children) read this table.
+# an exponent polynomial, a CSum is a canonical body (canonical atoms only),
+# and anything else is plain data.  The generic walks below (free names,
+# substitution, children) and the canonical atom key read this table.
 
-EXPR, POLY, DATA = "expr", "poly", "data"
+EXPR, POLY, CSUM, DATA = "expr", "poly", "csum", "data"
 
-_KIND_OF_ANNOTATION = {"Expr": EXPR, "IntPoly": POLY, "IntPoly | Inf": POLY}
+_KIND_OF_ANNOTATION = {"Expr": EXPR, "IntPoly": POLY, "IntPoly | Inf": POLY,
+                       "CSum": CSUM}
+
+
+def _field_kinds(cls) -> tuple:
+    """((field name, kind), ...) of a dataclass, in declaration order."""
+    return tuple((f.name, _KIND_OF_ANNOTATION.get(f.type, DATA))
+                 for f in dataclasses.fields(cls))
+
 
 #: node class -> ((field name, kind), ...) in declaration order
-FIELDS = {
-    cls: tuple((f.name, _KIND_OF_ANNOTATION.get(f.type, DATA))
-               for f in dataclasses.fields(cls))
-    for cls in Expr.__subclasses__()
-}
+FIELDS = {cls: _field_kinds(cls) for cls in Expr.__subclasses__()}
 
 
 def _node_fields(node) -> tuple:
@@ -207,7 +212,7 @@ def _bound_indices(node) -> tuple:
     """The summation indices a node binds around its summand."""
     if type(node) is Sum:
         return (node.index,)
-    if type(node) is MultiSum:
+    if type(node) in (MultiSum, ASum):
         return node.indices
     return ()
 
@@ -351,9 +356,11 @@ def substitute(e: Expr, sub: dict, *, check_names: bool = True) -> Expr:
 #
 # canon(expr) -> CSum: a sorted sum of CTerm products.  Each CTerm is
 #   coef * q^qexp * prod(atom^exp).
-# Atoms are canonical leaves; a composite sum appearing as a factor is
-# wrapped in AAdd.  Bound indices are renamed positionally (i0, i1, ...)
-# so that alpha-equivalent trees share one canonical form.
+# The leaf atoms are the surface nodes Param, Theta and Const (a rational
+# base raised to a symbolic power); APoch, ASum and AAdd hold canonical
+# bodies, and a composite sum appearing as a factor is wrapped in AAdd.
+# Bound indices are renamed positionally (i0, i1, ...) so that
+# alpha-equivalent trees share one canonical form.
 
 
 @dataclass(frozen=True)
@@ -373,27 +380,17 @@ class CSum:
     def single(self):
         return self.terms[0] if len(self.terms) == 1 else None
 
-
-@dataclass(frozen=True)
-class AParam:
-    name: str
-
-
-@dataclass(frozen=True)
-class AConstPow:
-    base: Fraction  # |base| != 1 or base == -1; raised to a symbolic exponent
+    @functools.cached_property
+    def key(self):
+        """Sort key of the body, computed once per canonical sum."""
+        return tuple(_term_key(t) for t in self.terms)
 
 
 @dataclass(frozen=True)
 class APoch:
     arg: CSum
     base: IntPoly
-    length: object  # IntPoly | Inf
-
-
-@dataclass(frozen=True)
-class ATheta:
-    kind: str
+    length: IntPoly | Inf
 
 
 @dataclass(frozen=True)
@@ -411,26 +408,34 @@ class AAdd:
     body: CSum
 
 
-def _len_key(length):
-    if isinstance(length, IntPoly):
-        return (0, length.key())
-    return (1,)
+#: atom class -> (rank, field table); atoms of different classes sort by rank
+_ATOMS = {cls: (rank, _field_kinds(cls))
+          for rank, cls in enumerate((Param, Const, APoch, Theta, ASum, AAdd))}
+
+
+def _atom_fields(atom) -> tuple:
+    """(rank, ((field name, kind), ...)) of an atom; TypeError for a
+    class with no rank."""
+    try:
+        return _ATOMS[type(atom)]
+    except KeyError:
+        raise TypeError(f"unknown atom {atom!r}") from None
 
 
 def _atom_key(atom):
-    if isinstance(atom, AParam):
-        return (0, atom.name)
-    if isinstance(atom, AConstPow):
-        return (1, atom.base)
-    if isinstance(atom, APoch):
-        return (2, _csum_key(atom.arg), atom.base.key(), _len_key(atom.length))
-    if isinstance(atom, ATheta):
-        return (3, atom.kind)
-    if isinstance(atom, ASum):
-        return (4, atom.indices, atom.start, atom.stride, _csum_key(atom.body))
-    if isinstance(atom, AAdd):
-        return (5, _csum_key(atom.body))
-    raise TypeError(f"unknown atom {atom!r}")
+    """The rank, then one key per field: a canonical body by its terms, an
+    exponent polynomial by its terms (INF after every polynomial), and
+    plain data as it is."""
+    rank, fields = _atom_fields(atom)
+    key = [rank]
+    for name, kind in fields:
+        value = getattr(atom, name)
+        if kind == CSUM:
+            value = value.key
+        elif kind == POLY:
+            value = (1,) if value is INF else (0, value.key())
+        key.append(value)
+    return tuple(key)
 
 
 def _term_shape_key(t: CTerm):
@@ -439,10 +444,6 @@ def _term_shape_key(t: CTerm):
 
 def _term_key(t: CTerm):
     return (_term_shape_key(t), t.coef)
-
-
-def _csum_key(s: CSum):
-    return tuple(_term_key(t) for t in s.terms)
 
 
 CS_ZERO = CSum(())
@@ -558,16 +559,16 @@ def _normalize_factors(coef: Fraction, qexp: IntPoly, factor_map: dict):
     for atom, exp in factor_map.items():
         if exp.is_zero():
             continue
-        if isinstance(atom, AConstPow):
-            if atom.base == 1:
+        if isinstance(atom, Const):
+            if atom.value == 1:
                 continue
-            if atom.base == -1:
+            if atom.value == -1:
                 exp = _parity_reduce(exp)
             # the constant part of the exponent folds into the coefficient:
             # c^(P + n) = c^n * c^P
             n = exp.const_value()
             if n != 0 and n.denominator == 1:
-                coef *= atom.base ** int(n)
+                coef *= atom.value ** int(n)
                 exp = exp.without_constant()
             if exp.is_zero():
                 continue
@@ -657,54 +658,39 @@ def _cs_mul(a: CSum, b: CSum) -> CSum:
     return _term_mul(_as_factor_term(a), _as_factor_term(b))
 
 
-def _term_pow_const(t: CTerm, n: int) -> CSum:
-    if n == 0:
-        return CS_ONE
-    if t.coef == 0:
-        return CS_ZERO
-    fm = {atom: exp * n for atom, exp in t.factors}
-    return _make_term(t.coef ** n, t.qexp * n, fm)
-
-
 def _cs_pow(s: CSum, e: IntPoly) -> CSum:
     if s.is_zero():
         if e.is_const() and e.const_value() > 0:
             return CS_ZERO
-        from .errors import ZeroConstantTerm
-
         raise ZeroConstantTerm(
             "a canonically zero expression cannot be inverted or raised "
             "to a symbolic power"
         )
     single = s.single()
-    if e.is_const() and e.const_value().denominator == 1:
-        n = int(e.const_value())
-        if single is not None:
-            return _term_pow_const(single, n)
+    n = e.const_value() if e.is_const() and e.const_value().denominator == 1 else None
+    if single is None:
         if n == 0:
             return CS_ONE
         if n == 1:
             return s
-    if single is None:
         content, body = _content_split(s)
-        return _cs_mul(_cs_pow(_cs_const(content), e),
-                       _make_term(Fraction(1), IntPoly(), {AAdd(body): e}))
-    # one term to a symbolic power
-    if single.coef == 0:
-        return CS_ZERO
+        return _cs_mul(_cs_pow(_cs_const(content), e), _cs_atom(AAdd(body), e))
     fm = {atom: exp * e for atom, exp in single.factors}
-    coef = Fraction(1)
     c = single.coef
+    if n is not None:
+        return _make_term(c ** int(n), single.qexp * e, fm)
+    # one term to a symbolic power: its rational coefficient becomes Const atoms
     if c < 0:
-        fm[AConstPow(Fraction(-1))] = _poly_add(fm.get(AConstPow(Fraction(-1))), e)
+        fm[const(-1)] = _poly_add(fm.get(const(-1)), e)
         c = -c
     if c != 1:
-        fm[AConstPow(c)] = _poly_add(fm.get(AConstPow(c)), e)
-    return _make_term(coef, single.qexp * e, fm)
+        fm[const(c)] = _poly_add(fm.get(const(c)), e)
+    return _make_term(Fraction(1), single.qexp * e, fm)
 
 
-def _cs_inv(s: CSum) -> CSum:
-    return _cs_pow(s, IntPoly.const(-1))
+def _cs_atom(atom, exp: IntPoly = IntPoly.const(1)) -> CSum:
+    """The one-term sum atom^exp."""
+    return _make_term(Fraction(1), IntPoly(), {atom: exp})
 
 
 def _cs_qpow(p: IntPoly) -> CSum:
@@ -733,30 +719,23 @@ def _canon_poch(arg: CSum, base: IntPoly, length) -> CSum:
             if rest.is_zero():
                 return out
             shifted = _cs_mul(arg, _cs_qpow(base * c))
-            inner = _make_term(Fraction(1), IntPoly(),
-                               {APoch(shifted, base, rest): IntPoly.const(1)})
-            return _cs_mul(out, inner)
-    return _make_term(Fraction(1), IntPoly(),
-                      {APoch(arg, base, length): IntPoly.const(1)})
+            return _cs_mul(out, _cs_atom(APoch(shifted, base, rest)))
+    return _cs_atom(APoch(arg, base, length))
 
 
 def _atom_free_names(atom) -> set:
-    if isinstance(atom, AParam):
-        return {atom.name}
-    if isinstance(atom, AConstPow):
-        return set()
-    if isinstance(atom, APoch):
-        names = _csum_free_names(atom.arg) | atom.base.symbols()
-        if isinstance(atom.length, IntPoly):
-            names |= atom.length.symbols()
-        return names
-    if isinstance(atom, ATheta):
-        return set()
-    if isinstance(atom, ASum):
-        return _csum_free_names(atom.body) - set(atom.indices)
-    if isinstance(atom, AAdd):
-        return _csum_free_names(atom.body)
-    raise TypeError(f"unknown atom {atom!r}")
+    """Free names of an atom, read off its field table like free_names."""
+    _, fields = _atom_fields(atom)
+    if isinstance(atom, Expr):
+        return free_names(atom)
+    names = set()
+    for name, kind in fields:
+        value = getattr(atom, name)
+        if kind == CSUM:
+            names |= _csum_free_names(value)
+        elif kind == POLY and value is not INF:
+            names |= value.symbols()
+    return names.difference(_bound_indices(atom))
 
 
 def _csum_free_names(s: CSum) -> set:
@@ -775,8 +754,7 @@ def _canon_sum_body(indices: tuple, start: int, stride: int, body: CSum) -> CSum
     that involves none of them."""
     idxset = set(indices)
     if idxset.isdisjoint(_csum_free_names(body)):
-        return _cs_mul(body, _make_term(Fraction(1), IntPoly(),
-                                        {ASum(indices, start, stride, CS_ONE): IntPoly.const(1)}))
+        return _cs_mul(body, _cs_atom(ASum(indices, start, stride, CS_ONE)))
     single = body.single()
     if single is None:
         content, body = _content_split(body)
@@ -801,13 +779,12 @@ def canon(e: Expr) -> CSum:
     def walk(node, binders, depth) -> CSum:
         if isinstance(node, Const):
             return _cs_const(node.value)
-        if isinstance(node, Param):
-            if node.name in binders:
+        if isinstance(node, (Param, Theta)):
+            if isinstance(node, Param) and node.name in binders:
                 raise UnknownName(
                     f"index {node.name!r} used as a value outside an exponent"
                 )
-            return _make_term(Fraction(1), IntPoly(),
-                              {AParam(node.name): IntPoly.const(1)})
+            return _cs_atom(node)
         if isinstance(node, QPow):
             return _cs_qpow(ren(node.exponent, binders))
         if isinstance(node, Poch):
@@ -821,9 +798,6 @@ def canon(e: Expr) -> CSum:
                 arg, base = (Neg(q), 1) if isinstance(node, OmegaProd) else (q, 2)
                 return walk(Poch(arg, IntPoly.const(base), node.length), binders, depth)
             return walk(node.quotient(), binders, depth)
-        if isinstance(node, Theta):
-            return _make_term(Fraction(1), IntPoly(),
-                              {ATheta(node.kind): IntPoly.const(1)})
         if isinstance(node, Neg):
             return _cs_mul(_cs_const(-1), walk(node.arg, binders, depth))
         if isinstance(node, Add):
@@ -834,7 +808,7 @@ def canon(e: Expr) -> CSum:
                            walk(node.right, binders, depth))
         if isinstance(node, Div):
             return _cs_mul(walk(node.left, binders, depth),
-                           _cs_inv(walk(node.right, binders, depth)))
+                           _cs_pow(walk(node.right, binders, depth), IntPoly.const(-1)))
         if isinstance(node, Pow):
             return _cs_pow(walk(node.base, binders, depth),
                            ren(node.exponent, binders))
@@ -862,14 +836,10 @@ def canon(e: Expr) -> CSum:
 
 
 def _rebuild_atom(atom) -> Expr:
-    if isinstance(atom, AParam):
-        return Param(atom.name)
-    if isinstance(atom, AConstPow):
-        return const(atom.base)
+    if isinstance(atom, Expr):
+        return atom
     if isinstance(atom, APoch):
         return Poch(rebuild(atom.arg), atom.base, atom.length)
-    if isinstance(atom, ATheta):
-        return Theta(atom.kind)
     if isinstance(atom, ASum):
         if len(atom.indices) == 1:
             return Sum(atom.indices[0], atom.start, atom.stride, rebuild(atom.body))

@@ -63,6 +63,38 @@ def test_check_all_non_ascii_digit_in_catalog_exit_2(capsys, tmp_path):
     assert "unexpected character '³' at line 3, col 11" in err
 
 
+@pytest.mark.parametrize("text, line, col, message", [
+    ("identity x { params a; lhs = a; rhs = a; }\n"
+     "identity x { params a; lhs = a; rhs = a; }\n", 2, 10, "duplicate identity id 'x'"),
+    ("identity x {\n  params a;\n  lhs = b;\n  rhs = a;\n}\n", 1, 10,
+     "identity 'x': undeclared parameter 'b' in lhs"),
+    ("identity x {\n  params a; exps a; lhs = a; rhs = a;\n}\n", 1, 10,
+     "identity 'x': params and exps overlap"),
+], ids=["duplicate", "undeclared", "overlap"])
+def test_list_invalid_record_in_catalog_exit_2(capsys, tmp_path, text, line, col, message):
+    catalog = tmp_path / "bad.qsv"
+    catalog.write_text(text)
+    code, out, err = run(capsys, "list", "--catalog", str(catalog))
+    assert code == 2
+    assert f"{message} at line {line}, col {col}" in err
+
+
+@pytest.mark.parametrize("value, shown", [
+    ("i", "0+1i"), ("-i", "0-1i"), ("1+i", "1+1i"), ("0.35-0.1i", "0.35-0.1i"), ("0.5", "0.5+0i"),
+])
+def test_eval_numeric_subst_complex_values(capsys, value, shown):
+    code, out, _ = run(capsys, "eval", "a", "--backend", "numeric", "--subst", f"a={value}")
+    assert code == 0
+    assert out.split()[0] == shown
+
+
+@pytest.mark.parametrize("value", ["1+", "1+ii", "x", "1j"])
+def test_eval_numeric_subst_bad_value_exit_2(capsys, value):
+    code, out, err = run(capsys, "eval", "a", "--backend", "numeric", "--subst", f"a={value}")
+    assert code == 2
+    assert f"bad value for 'a': {value!r}" in err
+
+
 def test_eval_backend_both_is_usage_error(capsys):
     code, out, err = run(capsys, "eval", "q + 1", "--backend", "both")
     assert code == 2

@@ -1,6 +1,7 @@
 """Parser, renderer, normalization, and substitution."""
 
 import dataclasses
+import hashlib
 from fractions import Fraction as F
 
 import pytest
@@ -18,10 +19,16 @@ from qsv.errors import (
 )
 from qsv.exact import ParamValue
 from qsv.expr import (
+    _ATOMS,
     FIELDS,
     INF,
+    AAdd,
     Add,
+    APoch,
+    ASum,
     Const,
+    CSum,
+    CTerm,
     Div,
     Expr,
     Mul,
@@ -32,6 +39,9 @@ from qsv.expr import (
     Pow,
     QPow,
     Sum,
+    Theta,
+    _atom_free_names,
+    _atom_key,
     canon,
     canon_equal,
     child_fields,
@@ -111,6 +121,13 @@ _BLOCK = 'identity x {{\n  params a;\n  lhs = {lhs};\n  {extra}\n}}'
     (_BLOCK.format(lhs="a", extra="rhs = a; lineage parent=y kind=odd;"), 4, 34,
      "unknown lineage kind 'odd'"),
     (_BLOCK.format(lhs="a", extra=""), 5, 1, "identity 'x' must define both lhs and rhs"),
+    # checks on a whole record point at its id
+    (_BLOCK.format(lhs="a", extra="rhs = a; exps a;"), 1, 10,
+     "identity 'x': params and exps overlap"),
+    (_BLOCK.format(lhs="b", extra="rhs = a;"), 1, 10,
+     "identity 'x': undeclared parameter 'b' in lhs"),
+    ("identity x { params a; lhs = a; rhs = a; }\n" + _BLOCK.format(lhs="a", extra="rhs = a;"),
+     2, 10, "duplicate identity id 'x'"),
 ])
 def test_record_errors_point_at_the_token_at_fault(text, line, col, message):
     with pytest.raises(ParseError) as err:
@@ -414,6 +431,54 @@ def test_field_table_covers_every_node_class():
                            ("stride", "data"), ("summand", "expr"))
 
 
+def test_field_table_reads_every_canonical_atom(catalog_records):
+    import qsv.expr
+
+    # every canonical atom class the module defines has a rank and a field
+    # table, and the catalog's canonical forms use each of them
+    canonical = {cls for cls in vars(qsv.expr).values()
+                 if isinstance(cls, type) and dataclasses.is_dataclass(cls)
+                 and cls.__module__ == qsv.expr.__name__ and not issubclass(cls, Expr)}
+    assert (canonical - {CTerm, CSum}) | {Param, Const, Theta} == set(_ATOMS)
+    assert list(_ATOMS) == [Param, Const, APoch, Theta, ASum, AAdd]  # the rank order
+    used = set()
+
+    def visit(s):
+        for t in s.terms:
+            for atom, _ in t.factors:
+                used.add(type(atom))
+                for name, kind in _ATOMS[type(atom)][1]:
+                    if kind == "csum":
+                        visit(getattr(atom, name))
+
+    for record in catalog_records:
+        for side in (record.lhs, record.rhs):
+            visit(canon(side))
+    assert used == set(_ATOMS)
+    # the key is the rank, then one key per field; free names skip bound indices
+    k = IntPoly.symbol("k")
+    body = canon(parse_expr("a^k * q^(n*k)"))
+    atoms = [Param("a"), Const(F(-1)), APoch(body, IntPoly.const(1), INF), Theta("psi"),
+             ASum(("k",), 0, 1, body), AAdd(canon(parse_expr("1 + a")))]
+    for rank, atom in enumerate(atoms):
+        key = _atom_key(atom)
+        assert key[0] == rank and len(key) == 1 + len(_ATOMS[type(atom)][1])
+    assert [_atom_free_names(a) for a in atoms] == [
+        {"a"}, set(), {"a", "k", "n"}, set(), {"a", "n"}, {"a"}]
+    assert _atom_key(APoch(body, k, INF)) > _atom_key(APoch(body, k, k))
+
+
+def test_unknown_atom_is_a_type_error():
+    @dataclasses.dataclass(frozen=True)
+    class Stray:
+        body: CSum
+
+    for stray in (Stray(canon(Param("a"))), Add(Param("a"), Param("b"))):
+        for read in (_atom_key, _atom_free_names):
+            with pytest.raises(TypeError, match="unknown atom"):
+                read(stray)
+
+
 def test_unknown_node_is_a_type_error():
     stray = IntPoly.const(1)
     for call in (lambda: free_names(Add(Param("a"), stray)),
@@ -465,6 +530,18 @@ def test_records_render_and_reparse(catalog_records):
     for record in catalog_records:
         for side in (record.lhs, record.rhs):
             assert parse_expr(render_expr(side)) == side
+
+
+#: sha256 of render_expr(normalize(side)) + "\n" over both sides of every
+#: shipped record, in catalog order.  It moves only when the catalog or the
+#: canonical form (its atom order, its rewrite rules) changes.
+NORMALIZE_SHA256 = "df3fd0429e6f505661ba27971b9072f82d91c24e2e4f28ba7f0947b4cfede86d"
+
+
+def test_catalog_normalize_output_is_pinned(catalog_records):
+    text = "".join(render_expr(normalize(side)) + "\n"
+                   for record in catalog_records for side in (record.lhs, record.rhs))
+    assert hashlib.sha256(text.encode()).hexdigest() == NORMALIZE_SHA256
 
 
 def test_catalog_normalize_idempotent(catalog_records):
