@@ -8,6 +8,7 @@ unknown-id errors; 3 precondition or convergence errors.
 from __future__ import annotations
 
 import argparse
+import cmath
 import math
 import os
 import sys
@@ -18,6 +19,7 @@ from .dsl import parse_expr, render_expr
 from .engine import ExactEnv, NumericEnv, eval_exact, eval_numeric
 from .errors import (
     CatalogLoadError,
+    NegativeQPower,
     ParseError,
     QsvError,
     UnknownId,
@@ -57,11 +59,12 @@ def load_records(flag_value):
 
 
 def parse_numeric_value(text: str):
-    """A float, or a complex number written re+im i (the format_cnum form)."""
+    """A finite float or complex number, written re+im i (the format_cnum form)."""
     t = text.strip().replace(" ", "")
-    if t.endswith("i"):
-        return complex(t[:-1] + "j")
-    return float(t)
+    value = complex(t[:-1] + "j") if t.endswith("i") else float(t)
+    if not cmath.isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def parse_subst(text: str, backend: str) -> dict:
@@ -84,7 +87,7 @@ def parse_subst(text: str, backend: str) -> dict:
                     out[name] = parse_param_value(value)
             else:
                 out[name] = parse_numeric_value(value)
-        except (ValueError, ZeroDivisionError) as exc:
+        except (ValueError, ZeroDivisionError, NegativeQPower) as exc:
             raise ParseError(f"bad value for {name!r}: {value!r} ({exc})") from exc
     return out
 
@@ -122,7 +125,7 @@ def cmd_list(args) -> int:
 def _point_with_overrides(record, backend, overrides):
     exact = backend == "exact"
     grid = default_exact_grid(record) if exact else default_numeric_grid(record)
-    base = grid[0] if grid else GridPoint({}, {}, q=None if exact else 0.2)
+    base = grid[0] if grid else GridPoint({}, {}, q=None if exact else num.DEFAULT_Q)
     point = GridPoint(dict(base.params), dict(base.exps), q=base.q)
     for name, value in overrides.items():
         if name == "q" and not exact:
@@ -214,7 +217,7 @@ def cmd_check_all(args) -> int:
 def cmd_eval(args) -> int:
     expr = parse_expr(args.expr)
     overrides = parse_subst(args.subst or "", args.backend)
-    q = overrides.pop("q", 0.2) if args.backend == "numeric" else None
+    q = overrides.pop("q", num.DEFAULT_Q) if args.backend == "numeric" else None
     missing = free_names(expr) - set(overrides)
     if missing:
         raise QsvError(f"unbound names: {sorted(missing)}; bind with --subst")

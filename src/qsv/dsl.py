@@ -23,6 +23,7 @@ and the stride family (q, ..., q^{h-1}; q^h)_len.  '#' starts a comment.
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -56,6 +57,12 @@ _BLANK = re.compile(r"(?:[ \t\r\n]+|#[^\n]*)*")
 _TOKEN = re.compile(r'(?P<NUMBER>\d+)|(?P<NAME>[^\W\d_]\w*)|"(?P<STRING>[^"\n]*)"'
                     r"|(?P<PUNCT>\.\.|[{}();,=+\-*/^_<])")
 _ID = re.compile(r"[\w.-]+")
+
+# binary operator tables for Parser._fold, one per precedence level
+_SUM_OPS = {"+": Add, "-": lambda left, right: Add(left, Neg(right))}
+_PRODUCT_OPS = {"*": Mul, "/": Div}
+_POLY_SUM_OPS = {"+": operator.add, "-": operator.sub}
+_POLY_PRODUCT_OPS = {"*": operator.mul}
 
 
 @dataclass
@@ -192,21 +199,22 @@ class Parser:
 
     # -- expressions ----------------------------------------------------------
 
+    def _fold(self, operand, ops):
+        """operand (op operand)*, folded to the left: `ops` maps each
+        operator to the function of (left, right) that joins them."""
+        left = operand()
+        while True:
+            tok = self.lex.peek()
+            if tok.kind != "PUNCT" or tok.value not in ops:
+                return left
+            self.lex.next()
+            left = ops[tok.value](left, operand())
+
     def parse_expr(self) -> Expr:
-        left = self.parse_mulchain()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.lex.next().value
-            right = self.parse_mulchain()
-            left = Add(left, right if op == "+" else Neg(right))
-        return left
+        return self._fold(self.parse_mulchain, _SUM_OPS)
 
     def parse_mulchain(self) -> Expr:
-        left = self.parse_unary()
-        while self.at_punct("*") or self.at_punct("/"):
-            op = self.lex.next().value
-            right = self.parse_unary()
-            left = Mul(left, right) if op == "*" else Div(left, right)
-        return left
+        return self._fold(self.parse_unary, _PRODUCT_OPS)
 
     def parse_unary(self) -> Expr:
         if self.accept_punct("-"):
@@ -218,10 +226,8 @@ class Parser:
 
     def parse_postfix(self) -> Expr:
         atom = self.parse_atom()
-        if self.at_punct("^"):
-            self.lex.next()
-            exponent = self.parse_ipart()
-            return Pow(atom, exponent)
+        if self.accept_punct("^"):
+            return Pow(atom, self.parse_ipart())
         return atom
 
     def parse_atom(self) -> Expr:
@@ -240,8 +246,7 @@ class Parser:
         name = tok.value
         if name == "q":
             self.lex.next()
-            if self.at_punct("^"):
-                self.lex.next()
+            if self.accept_punct("^"):
                 return QPow(self.parse_ipart())
             return QPow(IntPoly.const(1))
         if name == "poch":
@@ -307,19 +312,11 @@ class Parser:
     # exponent polynomials ----------------------------------------------------
 
     def parse_intpoly(self) -> IntPoly:
-        left = self.parse_ipterm()
-        while self.at_punct("+") or self.at_punct("-"):
-            op = self.lex.next().value
-            right = self.parse_ipterm()
-            left = left + right if op == "+" else left - right
-        return left
+        return self._fold(self.parse_ipterm, _POLY_SUM_OPS)
 
     def parse_ipterm(self) -> IntPoly:
         neg = self.accept_punct("-")
-        poly = self.parse_ipfactor()
-        while self.at_punct("*"):
-            self.lex.next()
-            poly = poly * self.parse_ipfactor()
+        poly = self._fold(self.parse_ipfactor, _POLY_PRODUCT_OPS)
         return -poly if neg else poly
 
     def parse_ipfactor(self) -> IntPoly:
@@ -327,8 +324,7 @@ class Parser:
         if tok.kind == "NUMBER":
             self.lex.next()
             value = Fraction(int(tok.value))
-            if self.at_punct("/"):
-                self.lex.next()
+            if self.accept_punct("/"):
                 den = self.expect_number()
                 if den == 0:
                     self._err("zero denominator", tok)
@@ -343,20 +339,14 @@ class Parser:
         if tok.kind == "NAME":
             self.lex.next()
             poly = IntPoly.symbol(tok.value)
-            if self.at_punct("^"):
-                self.lex.next()
-                poly = poly.pow(self.expect_number())
-            return poly
-        if tok.kind == "PUNCT" and tok.value == "(":
+        elif tok.kind == "PUNCT" and tok.value == "(":
             self.lex.next()
             poly = self.parse_intpoly()
             self.expect_punct(")")
-            if self.at_punct("^"):
-                self.lex.next()
-                poly = poly.pow(self.expect_number())
-            return poly
-        self._err(f"expected an exponent term, found {tok.value!r}", tok,
-                  ["number", "name", "(", "tri", "binom2"])
+        else:
+            self._err(f"expected an exponent term, found {tok.value!r}", tok,
+                      ["number", "name", "(", "tri", "binom2"])
+        return poly.pow(self.expect_number()) if self.accept_punct("^") else poly
 
     # sums ---------------------------------------------------------------------
 

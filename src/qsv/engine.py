@@ -44,14 +44,11 @@ from .exact import (
     QSeries,
     series_add,
     series_apply_binomials,
-    series_const,
-    series_div_binomial,
     series_inv,
     series_mul,
     series_mul_many,
     series_one,
     series_pow,
-    series_scale,
     series_shift,
     series_zero,
 )
@@ -110,7 +107,7 @@ class ExactEnv:
 
 @dataclass
 class NumericEnv:
-    q: complex = 0.2
+    q: complex = num.DEFAULT_Q
     params: dict = field(default_factory=dict)  # name -> complex
     exps: dict = field(default_factory=dict)    # name -> complex
     tol: float = num.IDENTITY_TOL
@@ -287,14 +284,12 @@ class ExactEvaluator:
     def _eval(self, e: Expr, idxenv, inverse=False) -> QSeries:
         """e, or 1/e when `inverse`: products, powers and Pochhammer symbols
         invert part by part through O(N)-per-factor recurrences, any other
-        series whole, a two-term one by one binomial division."""
+        series whole."""
         N = self.order
         if isinstance(e, (Const, Param, QPow)):
             m = self.monomial(e, idxenv)
             return (m.pow(-1) if inverse else m).to_series(N)
-        if isinstance(e, Neg):
-            return series_scale(self._eval(e.arg, idxenv, inverse), -1)
-        if isinstance(e, (Mul, Div, OmegaProd, StrideProd)):
+        if isinstance(e, (Neg, Mul, Div, OmegaProd, StrideProd)):
             return self._eval_product(e, idxenv, inverse)
         if isinstance(e, Pow):
             n = e.exponent.eval_int(idxenv)
@@ -315,20 +310,13 @@ class ExactEvaluator:
             s = self._eval_sum(tuple(e.indices), 0, 1, e.summand, idxenv)
         else:
             raise TypeError(f"unknown expression node {e!r}")
-        if not inverse:
-            return s
-        nonzero = [(i, x) for i, x in enumerate(s.nums) if x]
-        if len(nonzero) == 2 and nonzero[0][0] == 0:
-            (_, x0), (i1, x1) = nonzero
-            return series_div_binomial(series_const(Fraction(s.den, x0), N),
-                                       Fraction(x1, x0), i1)
-        return series_inv(s)
+        return series_inv(s) if inverse else s
 
     def _flatten_product(self, e, inverted, out):
         """Append e's parts as (node, inverted) pairs; qomega and qstride
         give the two Pochhammer symbols of their quotient."""
         if isinstance(e, (OmegaProd, StrideProd)):
-            e = e.quotient()
+            e = e.quotient
         if isinstance(e, Mul):
             self._flatten_product(e.left, inverted, out)
             self._flatten_product(e.right, inverted, out)
@@ -764,31 +752,28 @@ class NumericEvaluator:
                 n = num.near_int(self._poly(e.length, sym))
                 if n is None or n < 0:
                     raise NonIntegerExponent("product length must be a non-negative integer")
-            return ev(e.quotient(), sym, plan)
+            return ev(e.quotient, sym, plan)
         if isinstance(e, Theta):
             fn = (num.theta_psi_numeric if e.kind == "psi"
                   else num.theta_phi_minus_numeric)
             return fn(self.q, self.tol)
         if isinstance(e, Sum):
-            return self._eval_sum(e, sym)
+            return self._eval_sum((e.index,), e.start, e.stride, e.summand, sym)
         if isinstance(e, MultiSum):
-            return self._eval_msum(e, sym)
+            return self._eval_sum(tuple(e.indices), 0, 1, e.summand, sym)
         raise TypeError(f"unknown expression node {e!r}")
 
-    def _eval_sum(self, e: Sum, sym) -> mpc:
-        plan = NumericPlan((e.index,), e.summand)
-
-        def term(k):
-            return self._eval(e.summand, {**sym, e.index: e.start + e.stride * k}, plan)
-
-        return num.sum_with_tail_bound(term, self.tol)
-
-    def _eval_msum(self, e: MultiSum, sym) -> mpc:
-        indices = e.indices
+    def _eval_sum(self, indices, start, stride, summand, sym) -> mpc:
+        """Each index runs through start, start + stride, ...  One index
+        sums its terms; several sum shells of equal total step, at most
+        MAX_NUMERIC_MSUM_TERMS terms in all."""
+        plan = NumericPlan(indices, summand)
         m = len(indices)
         if m == 1:
-            return self._eval_sum(Sum(indices[0], 0, 1, e.summand), sym)
-        plan = NumericPlan(indices, e.summand)
+            ix, = indices
+            return num.sum_with_tail_bound(
+                lambda k: self._eval(summand, {**sym, ix: start + stride * k}, plan),
+                self.tol)
         terms = 0
 
         def shell(d):
@@ -798,9 +783,8 @@ class NumericEvaluator:
                 raise NonConvergence(f"multisum did not converge within "
                                      f"{MAX_NUMERIC_MSUM_TERMS} terms")
             total = mpc(0)
-            for assignment in _compositions(d, m):
-                sub_sym = {**sym, **dict(zip(indices, assignment))}
-                total += self._eval(e.summand, sub_sym, plan)
+            for values in _compositions(d, m, start, stride):
+                total += self._eval(summand, {**sym, **dict(zip(indices, values))}, plan)
             return total
 
         return num.sum_with_tail_bound(shell, self.tol, tail_run=5)
@@ -852,14 +836,15 @@ def _cnum_values(values: dict) -> dict:
             for k, v in values.items()}
 
 
-def _compositions(total, parts):
-    """All tuples of `parts` non-negative ints summing to `total`."""
+def _compositions(total, parts, start, stride):
+    """The index values start + stride*j of every tuple of `parts` steps
+    j >= 0 summing to `total`, in lexicographic order of the steps."""
     if parts == 1:
-        yield (total,)
+        yield (start + stride * total,)
         return
     for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+        for rest in _compositions(total - first, parts - 1, start, stride):
+            yield (start + stride * first,) + rest
 
 
 def eval_numeric(e: Expr, env: NumericEnv) -> mpc:

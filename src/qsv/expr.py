@@ -81,6 +81,7 @@ class OmegaProd(Expr):
     h: IntPoly
     length: IntPoly | Inf
 
+    @functools.cached_property
     def quotient(self) -> Div:
         """(q^h;q^h)_len / (q;q)_len, the value every layer reads."""
         one = IntPoly.const(1)
@@ -95,6 +96,7 @@ class StrideProd(Expr):
     h: IntPoly
     length: IntPoly | Inf
 
+    @functools.cached_property
     def quotient(self) -> Div:
         """(q;q)_{h*len} / (q^h;q^h)_len ((q;q)_inf / (q^h;q^h)_inf for len
         inf), the value every layer reads."""
@@ -797,7 +799,7 @@ def canon(e: Expr) -> CSum:
                 q = QPow(IntPoly.const(1))
                 arg, base = (Neg(q), 1) if isinstance(node, OmegaProd) else (q, 2)
                 return walk(Poch(arg, IntPoly.const(base), node.length), binders, depth)
-            return walk(node.quotient(), binders, depth)
+            return walk(node.quotient, binders, depth)
         if isinstance(node, Neg):
             return _cs_mul(_cs_const(-1), walk(node.arg, binders, depth))
         if isinstance(node, Add):

@@ -23,11 +23,12 @@ _EMPTY = ()
 
 
 class IntPoly:
-    __slots__ = ("terms", "_compiled")
+    __slots__ = ("terms", "_compiled", "_key")
 
     def __init__(self, terms=None):
         self.terms = {m: c for m, c in (terms or {}).items() if c}
         self._compiled = None  # (den, ((int coeff, monomial), ...)), see eval_int
+        self._key = None  # see key
 
     # -- constructors -------------------------------------------------------
 
@@ -178,7 +179,11 @@ class IntPoly:
     # -- canonical key / rendering --------------------------------------------
 
     def key(self):
-        return tuple(sorted((m, c) for m, c in self.terms.items()))
+        """The sorted (monomial, coefficient) pairs, built once."""
+        key = self._key
+        if key is None:
+            key = self._key = tuple(sorted(self.terms.items()))
+        return key
 
     def __eq__(self, other):
         return isinstance(other, IntPoly) and self.terms == other.terms
@@ -194,7 +199,7 @@ class IntPoly:
         if not self.terms:
             return "0"
         parts = []
-        for m, c in sorted(self.terms.items()):
+        for m, c in self.key():
             factors = []
             if c == -1 and m:
                 sign, coeff = "-", ""

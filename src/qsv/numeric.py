@@ -25,6 +25,9 @@ SCALAR_TOL = 1e-12
 #: over thousands of terms).
 IDENTITY_TOL = 1e-9
 
+#: q of a numeric evaluation that binds none.
+DEFAULT_Q = 0.2
+
 #: Working precision in decimal digits; ~100 bits, at least twice the bit
 #: budget of the tightest default tolerance.  The engine's entry points set
 #: it per call with mpmath.workdps; importing qsv leaves mpmath.mp alone.
@@ -96,14 +99,17 @@ def qpoch_inf_numeric(x, qbase, tol=SCALAR_TOL) -> mpc:
     x = to_cnum(x)
     qbase = to_cnum(qbase)
     aq = abs(qbase)
-    if aq >= 1:
-        raise BaseNotInDisk(f"|qbase| = {aq} >= 1")
+    if not aq < 1:  # or NaN
+        raise (BaseNotInDisk(f"|qbase| = {aq} >= 1") if aq >= 1
+               else NonFiniteValue(f"non-finite base {qbase}"))
     if x == 0:
         return mpc(1)
     prod = mpc(1)
     term = x
     r = 0
     ax = abs(x)
+    if not mpmath.isfinite(ax):
+        raise NonFiniteValue(f"non-finite argument {x}")
     while ax * aq ** r / (1 - aq) > tol / 4 and r < MAX_TERMS:
         prod *= 1 - term
         check_finite(prod)

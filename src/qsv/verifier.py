@@ -303,7 +303,7 @@ def verify(record: IdentityRecord, point: GridPoint, *, backend: str = "exact",
         env = ExactEnv(order=order, params=point.params, exps=point.exps)
         evaluate, digest = eval_exact, series_digest
     else:
-        env = NumericEnv(q=point.q if point.q is not None else 0.2,
+        env = NumericEnv(q=point.q if point.q is not None else num.DEFAULT_Q,
                          params=point.params, exps=point.exps, tol=tol)
         evaluate, digest = eval_numeric, value_digest
     try:

@@ -88,11 +88,25 @@ def test_eval_numeric_subst_complex_values(capsys, value, shown):
     assert out.split()[0] == shown
 
 
-@pytest.mark.parametrize("value", ["1+", "1+ii", "x", "1j"])
+@pytest.mark.parametrize("value", ["1+", "1+ii", "x", "1j", "nan", "inf", "1e400"])
 def test_eval_numeric_subst_bad_value_exit_2(capsys, value):
     code, out, err = run(capsys, "eval", "a", "--backend", "numeric", "--subst", f"a={value}")
     assert code == 2
     assert f"bad value for 'a': {value!r}" in err
+
+
+@pytest.mark.parametrize("argv, name, value", [
+    (("eval", "poch(a;q)_inf", "--backend", "numeric"), "a", "nan"),
+    (("check", "heine-original", "--backend", "numeric"), "q", "nan"),
+    (("eval", "a"), "a", "q^-1"),
+    (("check", "q-bin"), "z", "q^-2"),
+], ids=["poch-nan", "check-q-nan", "qpow", "check-qpow"])
+def test_subst_value_out_of_range_exit_2(capsys, argv, name, value):
+    # a value no backend can take is a usage error, not a value or exit 3
+    code, out, err = run(capsys, *argv, "--subst", f"{name}={value}")
+    assert code == 2
+    assert out == ""
+    assert f"bad value for {name!r}: {value!r}" in err
 
 
 def test_eval_backend_both_is_usage_error(capsys):

@@ -23,7 +23,7 @@ from qsv.engine import (
 )
 from qsv.errors import NonConvergence, NonIntegerExponent, NonTruncatable, ValuationStall
 from qsv.exact import ParamValue, series_add, series_inv, series_mul, series_one
-from qsv.expr import Sum
+from qsv.expr import Div, Sum
 from qsv.qkernel import ThetaKind, poch_infinite, theta_series
 
 
@@ -151,6 +151,30 @@ def test_qstride_quotient():
     # (q;q^2)_2 = (1-q)(1-q^3)
     got = exact_series("qstride(2)_2", 8)
     assert [int(c) for c in got.coeffs] == [1, -1, 0, -1, 1, 0, 0, 0]
+
+
+@pytest.mark.parametrize("text", ["qomega(h)_k", "qstride(h)_k", "qstride(h)_inf"])
+def test_qomega_qstride_quotient_is_built_once_per_node(text):
+    node = parse_expr(text)
+    assert node.quotient is node.quotient
+    assert node.quotient == parse_expr(text).quotient
+
+
+def test_numeric_sum_reads_one_qomega_quotient(monkeypatch):
+    # every term of the sum evaluates the same quotient tree, not a new one
+    e = parse_expr("sum(k=0..inf; qomega(h)_k * z^k)")
+    quotients = []
+    eval_node = NumericEvaluator._eval_node
+
+    def recording(self, node, sym, plan):
+        if isinstance(node, Div):
+            quotients.append(node)  # kept alive, so ids stay distinct
+        return eval_node(self, node, sym, plan)
+
+    monkeypatch.setattr(NumericEvaluator, "_eval_node", recording)
+    NumericEvaluator(NumericEnv(q=0.3, params={"z": 0.4}, exps={"h": 2})).eval(e)
+    assert len(quotients) > 5
+    assert len({id(node) for node in quotients}) == 1
 
 
 @pytest.mark.parametrize("backend,text,exps,message", [

@@ -516,19 +516,16 @@ class PlainNumeric(NumericEvaluator):
     def _eval(self, e, sym, plan=None):
         return self._eval_node(e, sym, None)
 
-    def _eval_sum(self, e, sym):
-        return num.sum_with_tail_bound(
-            lambda k: self._eval(e.summand, {**sym, e.index: e.start + e.stride * k}),
-            self.tol)
-
-    def _eval_msum(self, e, sym):
-        if len(e.indices) == 1:
-            return self._eval_sum(Sum(e.indices[0], 0, 1, e.summand), sym)
+    def _eval_sum(self, indices, start, stride, summand, sym):
+        if len(indices) == 1:
+            return num.sum_with_tail_bound(
+                lambda k: self._eval(summand, {**sym, indices[0]: start + stride * k}),
+                self.tol)
 
         def shell(d):
             total = mpc(0)
-            for assignment in _compositions(d, len(e.indices)):
-                total += self._eval(e.summand, {**sym, **dict(zip(e.indices, assignment))})
+            for values in _compositions(d, len(indices), start, stride):
+                total += self._eval(summand, {**sym, **dict(zip(indices, values))})
             return total
 
         return num.sum_with_tail_bound(shell, self.tol, tail_run=5)

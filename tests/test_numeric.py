@@ -1,6 +1,7 @@
 """High-precision complex kernels: powers, Pochhammer products, roots of
 unity, and the stride/pairing identities in their literal complex form."""
 
+import math
 import os
 import subprocess
 import sys
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from mpmath import mpc
 
 from qsv import numeric as num
-from qsv.errors import BaseNotInDisk, NonConvergence, ZeroBase
+from qsv.errors import BaseNotInDisk, NonConvergence, NonFiniteValue, ZeroBase
 from qsv.exact import ParamValue
 from qsv.qkernel import poch_infinite
 from fractions import Fraction as F
@@ -82,6 +83,15 @@ def test_qpoch_inf_zero_argument():
 def test_qpoch_inf_outside_disk():
     with pytest.raises(BaseNotInDisk):
         num.qpoch_inf_numeric(0.3, 1.0)
+
+
+@pytest.mark.parametrize("x, qbase", [
+    (math.nan, 0.5), (math.inf, 0.5), (complex(0.3, math.nan), 0.5), (0.3, math.nan),
+])
+def test_qpoch_inf_rejects_non_finite_input(x, qbase):
+    # the loop's tail test is false for NaN: unchecked, the product is empty
+    with pytest.raises(NonFiniteValue):
+        num.qpoch_inf_numeric(x, qbase)
 
 
 def test_qpoch_inf_matches_exact_series():
