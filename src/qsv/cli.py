@@ -15,18 +15,13 @@ import sys
 from fractions import Fraction
 
 from . import numeric as num
-from .dsl import parse_expr, render_expr
-from .engine import ExactEnv, NumericEnv, eval_exact, eval_numeric
-from .errors import (
-    CatalogLoadError,
-    NegativeQPower,
-    ParseError,
-    QsvError,
-    UnknownId,
-)
-from .exact import DEFAULT_ORDER, ParamValue, parse_param_value
+from .dsl import parse_expr, render_expr, sub_value
+from .engine import ExactEnv, ExactEvaluator, NumericEnv, eval_exact, eval_numeric
+from .errors import CatalogLoadError, ParseError, QsvError, UnknownId
+from .exact import DEFAULT_ORDER, ParamValue
 from .expr import free_names, param_names
 from .verifier import (
+    NUMERIC_ONLY,
     GridPoint,
     default_catalog_path,
     default_exact_grid,
@@ -67,27 +62,34 @@ def parse_numeric_value(text: str):
     return value
 
 
+def parse_exact_value(text: str):
+    """A DSL expression that is an integer (an exponent value, as in a
+    lineage sub(...)) or a monomial c*q^m."""
+    value = sub_value(parse_expr(text))
+    m = value if isinstance(value, int) else ExactEvaluator(ExactEnv()).monomial(value, {})
+    if m is None:
+        raise ValueError("not a monomial c*q^m")
+    return m
+
+
 def parse_subst(text: str, backend: str) -> dict:
-    """--subst k=v[,k=v...]; exact values use the c*q^m grammar, numeric
-    values are floats or re+im i forms; bare integers bind exponents."""
+    """--subst k=v[,k=v...], each name once; exact values are read by
+    parse_exact_value, numeric ones by parse_numeric_value."""
     out = {}
     if not text:
         return out
+    read = parse_exact_value if backend == "exact" else parse_numeric_value
     for item in text.split(","):
         if "=" not in item:
             raise ParseError(f"bad substitution item {item!r}")
         name, value = item.split("=", 1)
         name = name.strip()
         value = value.strip()
+        if name in out:
+            raise ParseError(f"duplicate substitution name {name!r}")
         try:
-            if backend == "exact":
-                if value.lstrip("+-").isdigit() and "q" not in value:
-                    out[name] = int(value)
-                else:
-                    out[name] = parse_param_value(value)
-            else:
-                out[name] = parse_numeric_value(value)
-        except (ValueError, ZeroDivisionError, NegativeQPower) as exc:
+            out[name] = read(value)
+        except (ValueError, QsvError) as exc:
             raise ParseError(f"bad value for {name!r}: {value!r} ({exc})") from exc
     return out
 
@@ -186,7 +188,7 @@ def _summary_exit(reports, *, skip_ineligible=True) -> int:
     mismatched = [r for r in reports if r.status == "mismatch"]
     errored = [r for r in reports if r.status == "error"]
     hard_errors = [r for r in errored
-                   if not (skip_ineligible and r.error == "record is numeric-only")]
+                   if not (skip_ineligible and r.error == NUMERIC_ONLY)]
     print(f"summary: {passed} pass, {len(mismatched)} mismatch, "
           f"{len(errored)} error")
     if mismatched:

@@ -466,10 +466,7 @@ class Parser:
     def _parse_sub_item(self):
         name = self.expect_name().value
         self.expect_punct("=")
-        value = self.parse_expr()
-        if isinstance(value, Const) and value.value.denominator == 1:
-            return (name, int(value.value))
-        return (name, value)
+        return (name, sub_value(self.parse_expr()))
 
     # the reader of each clause, in the order errors list them
     def _read_anchor(self) -> str:
@@ -520,6 +517,11 @@ def parse_expr(text: str) -> Expr:
         raise ParseError(f"unexpected trailing input {tok.value!r}",
                          tok.line, tok.col, ["end of input"])
     return expr
+
+
+def sub_value(e: Expr):
+    """A substitution value: an integer Const as an int (an exponent value), else e."""
+    return int(e.value) if isinstance(e, Const) and e.value.denominator == 1 else e
 
 
 def parse_catalog(text: str) -> list:

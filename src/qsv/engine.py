@@ -286,17 +286,14 @@ class ExactEvaluator:
         invert part by part through O(N)-per-factor recurrences, any other
         series whole."""
         N = self.order
-        if isinstance(e, (Const, Param, QPow)):
+        if isinstance(e, (Const, Param, QPow, Pow)):
             m = self.monomial(e, idxenv)
-            return (m.pow(-1) if inverse else m).to_series(N)
+            if m is not None:
+                return (m.pow(-1) if inverse else m).to_series(N)
+            # a Pow over a non-monomial base
+            return series_pow(self._eval(e.base, idxenv, inverse), e.exponent.eval_int(idxenv))
         if isinstance(e, (Neg, Mul, Div, OmegaProd, StrideProd)):
             return self._eval_product(e, idxenv, inverse)
-        if isinstance(e, Pow):
-            n = e.exponent.eval_int(idxenv)
-            m = self.monomial(e.base, idxenv)
-            if m is not None:
-                return m.pow(-n if inverse else n).to_series(N)
-            return series_pow(self._eval(e.base, idxenv, inverse), n)
         if isinstance(e, Poch):
             return self._eval_symbol(e, idxenv, inverse)
         if isinstance(e, Add):
@@ -340,17 +337,17 @@ class ExactEvaluator:
 
         return self._product(parts, idxenv, product)
 
-    def _product(self, parts, idxenv, product, num_mono=_ONE, den_mono=_ONE,
-                 series_parts=()) -> QSeries:
+    def _product(self, parts, idxenv, product, series_parts=()) -> QSeries:
         """Product chains: fold every monomial part into one c*q^v
-        prefactor (with num_mono/den_mono), and multiply it by the other
-        parts, which `product(series_parts, reduced)` builds modulo
-        q^reduced, reduced = order - v (nothing below the prefactor's
-        valuation can matter).  A prefactor at or past the order gives 0
+        prefactor, and multiply it by `series_parts` and the other parts,
+        which `product(series_parts, reduced)` builds modulo q^reduced,
+        reduced = order - v (nothing below the prefactor's valuation can
+        matter).  A prefactor at or past the order gives 0
         only when every inverted part has a known nonzero constant term;
         otherwise the parts are still built, so that a vanishing
         denominator raises."""
         N = self.order
+        num_mono = den_mono = _ONE
         series_parts = list(series_parts)
         for node, inv in parts:
             m = self.monomial(node, idxenv)
@@ -413,8 +410,8 @@ class SumPlan:
     term cost a few O(N) binomial steps instead of an O(N^2) product.
 
     Catalog summands are q-hypergeometric in their indices.  Of the parts
-    `_eval_product` sees, monomials are evaluated per term (once if
-    index-free), index-free series are evaluated once, at the first term
+    `_eval_product` sees, monomials are evaluated per term (folded by
+    `_product`), index-free series are evaluated once, at the first term
     that needs them, into the running series, and binomials 1 + m (m an
     index-dependent monomial) are applied per term.  Chains -- finite
     (x; q^h)_len with x != 1 and h index-free, also to a fixed power >= 1,
@@ -510,7 +507,7 @@ class SumPlan:
             self._compile(idxenv)
         return self.ev._product(self.monomials, idxenv,
                                 lambda _, reduced: self._series(idxenv, reduced),
-                                self.num_mono, self.den_mono, self.parts)
+                                self.parts)
 
     def _series(self, idxenv, reduced) -> QSeries:
         """The product of the series parts at this term, modulo q^reduced."""
@@ -560,17 +557,11 @@ class SumPlan:
         ev, names = self.ev, set(self.indices)
         self.monomials, self.parts, self.steps, self.chains, flat = [], [], [], [], []
         ev._flatten_product(self.summand, False, flat)
-        self.num_mono = self.den_mono = _ONE
         for node, inv in flat:  # every monomial first, as _product evaluates them
-            m = ev.monomial(node, idxenv)
-            if m is None:
+            if ev.monomial(node, idxenv) is None:
                 self.parts.append((node, inv))
-            elif not free_names(node).isdisjoint(names):
-                self.monomials.append((node, inv))
-            elif inv:
-                self.den_mono = self.den_mono.mul(m)
             else:
-                self.num_mono = self.num_mono.mul(m)
+                self.monomials.append((node, inv))
         for node, inv in self.parts:
             self.steps.append(self._step(node, inv, names, idxenv)
                               if not free_names(node).isdisjoint(names)

@@ -385,31 +385,3 @@ class ParamValue:
             return f"-{qpart}"
         return f"{self.coeff}*{qpart}"
 
-
-def parse_param_value(text: str) -> ParamValue:
-    """Parse the CLI value grammar 'c*q^m' (also plain 'c', 'q', '-q^3',
-    'c/d*q^m')."""
-    t = text.strip().replace(" ", "")
-    neg = False
-    if t.startswith("-"):
-        neg = True
-        t = t[1:]
-    if "*" in t:
-        cpart, qpart = t.split("*", 1)
-    elif t.startswith("q"):
-        cpart, qpart = "1", t
-    else:
-        cpart, qpart = t, ""
-    if qpart:
-        if qpart == "q":
-            m = 1
-        elif qpart.startswith("q^"):
-            m = int(qpart[2:])
-        else:
-            raise ValueError(f"bad parameter value {text!r}")
-    else:
-        m = 0
-    coeff = Fraction(cpart)
-    if neg:
-        coeff = -coeff
-    return ParamValue(coeff, m)

@@ -55,6 +55,9 @@ EXACT_PARAM_POOL_MULTI = (
 #: (h, t) exponent pairs kept small so multibasic sums stay cheap
 EXACT_EXP_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2))
 
+#: the error of an exact check of a record declared numeric-only
+NUMERIC_ONLY = "record is numeric-only"
+
 #: target number of grid points per record with free slots
 GRID_TARGET = 5
 GRID_MIN = 3
@@ -297,7 +300,7 @@ def verify(record: IdentityRecord, point: GridPoint, *, backend: str = "exact",
     exact = backend == "exact"
     report = _error_report(record, backend, order, tol, render_subst(point, backend))
     if exact and record.numeric_only:
-        report.error = "record is numeric-only"
+        report.error = NUMERIC_ONLY
         return report
     if exact:
         env = ExactEnv(order=order, params=point.params, exps=point.exps)

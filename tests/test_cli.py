@@ -2,10 +2,12 @@
 
 import json
 import os
+from fractions import Fraction as F
 
 import pytest
 
-from qsv.cli import main
+from qsv.cli import main, parse_exact_value
+from qsv.exact import ParamValue
 
 
 def run(capsys, *argv):
@@ -107,6 +109,44 @@ def test_subst_value_out_of_range_exit_2(capsys, argv, name, value):
     assert code == 2
     assert out == ""
     assert f"bad value for {name!r}: {value!r}" in err
+
+
+@pytest.mark.parametrize("text,value", [
+    ("q", ParamValue(F(1), 1)),
+    ("-q", ParamValue(F(-1), 1)),
+    ("1/2*q^3", ParamValue(F(1, 2), 3)),
+    ("2", 2),
+    ("-1/3*q", ParamValue(F(-1, 3), 1)),
+    ("0", 0),
+    ("q*2", ParamValue(F(2), 1)),
+    ("(1/2)*q^3", ParamValue(F(1, 2), 3)),
+])
+def test_parse_exact_value(text, value):
+    # an exact --subst value is a DSL expression: an integer binds an
+    # exponent (as in a lineage sub(...)), anything else is c*q^m
+    got = parse_exact_value(text)
+    assert got == value and type(got) is type(value)
+
+
+@pytest.mark.parametrize("value", ["0.5", "+q", "q^-1", "q*b", "1+q", "1/0"])
+def test_eval_exact_subst_bad_value_exit_2(capsys, value):
+    code, out, err = run(capsys, "eval", "poch(a;q)_2", "--subst", f"a={value}")
+    assert code == 2
+    assert out == ""
+    assert f"bad value for 'a': {value!r}" in err
+
+
+@pytest.mark.parametrize("argv, subst", [
+    (("eval", "a"), "a=1,a=q"),
+    (("check", "q-bin"), "z=q,z=q^2"),
+    (("eval", "a", "--backend", "numeric"), "a=1, a=2"),
+], ids=["eval-exact", "check", "eval-numeric"])
+def test_subst_duplicate_name_exit_2(capsys, argv, subst):
+    name = subst[0]
+    code, out, err = run(capsys, *argv, "--subst", subst)
+    assert code == 2
+    assert out == ""
+    assert f"duplicate substitution name {name!r}" in err
 
 
 def test_eval_backend_both_is_usage_error(capsys):

@@ -23,7 +23,12 @@ from qsv.engine import (
     _compositions,
     eval_exact,
 )
-from qsv.errors import TermCapExceeded, ValuationStall, ZeroConstantTerm
+from qsv.errors import (
+    NonTruncatable,
+    TermCapExceeded,
+    ValuationStall,
+    ZeroConstantTerm,
+)
 from qsv.exact import ParamValue, QSeries
 from qsv.expr import (
     INF,
@@ -455,6 +460,43 @@ def test_sum_over_an_index_free_nested_sum_denominator():
     got = eval_exact(e, env)
     assert got == to_series({0: F(1)}, order)
     assert got == to_series(naive_eval(e, env, {}, order), order)
+
+
+# Exact branches that neither the catalog nor the cases above reach, at
+# PLAN_PARAMS[0] and h = 2: each must match the naive interpreter.
+RARE_BRANCH_CASES = [
+    "poch(1 + a; q)_3",  # a Pochhammer symbol over a non-monomial argument
+    "1/poch(a + q; q^2)_2",
+    "poch(b + a; q^h)_2^2",
+    "sum(k=0..inf; q^k * poch(a + q^k; q)_2)",
+    "sum(k=0..inf; z^k * 0^k * psi())",  # the valuation bound of 0^k
+    "sum(k=0..inf; z^k * (1 + q^k)^(-1))",  # ... of a non-monomial power
+    "sum(k=1..inf; z^k / (1 - q^(k*k)))",  # an inverted binomial
+    "0 * psi()",  # a zero numerator
+    "sum(k=0..inf; q^k * 2 / 3)",  # index-free monomials in a summand
+    "sum(k=0..inf; q^k / 3)",
+]
+
+
+@pytest.mark.parametrize("text", RARE_BRANCH_CASES)
+def test_rare_exact_branches_match_naive(text):
+    e = parse_expr(text)
+    order = 16
+    env = ExactEnv(order=order, params=PLAN_PARAMS[0], exps={"h": 2})
+    assert eval_exact(e, env) == to_series(naive_eval(e, env, {}, order), order)
+
+
+@pytest.mark.parametrize("text,error,match", [
+    ("poch(a*q + 1; q)_inf", NonTruncatable, "non-monomial argument"),
+    # 1 - q^k has no inverse at k = 0
+    ("sum(k=0..inf; q^(k+1) / (1 - q^k))", ZeroConstantTerm, "zero constant term"),
+    # q + z^k has constant term 0 at k >= 1, so no bound holds
+    ("sum(k=0..inf; z^k / (q + z^k))", ValuationStall, "no valuation bound"),
+])
+def test_rare_exact_branches_raise(text, error, match):
+    env = ExactEnv(order=16, params=PLAN_PARAMS[0], exps={"h": 2})
+    with pytest.raises(error, match=match):
+        eval_exact(parse_expr(text), env)
 
 
 def assert_plan_sound(e, env, check_skipped=True):

@@ -12,7 +12,6 @@ from qsv.errors import NegativeQPower, ZeroConstantTerm
 from qsv.exact import (
     ParamValue,
     QSeries,
-    parse_param_value,
     series_add,
     series_apply_binomials,
     series_div_binomial,
@@ -318,14 +317,3 @@ def test_param_value_rejects_negative_qpow():
     with pytest.raises(NegativeQPower):
         ParamValue(F(1), -1)
 
-
-@pytest.mark.parametrize("text,coeff,qpow", [
-    ("q", F(1), 1),
-    ("-q", F(-1), 1),
-    ("1/2*q^3", F(1, 2), 3),
-    ("2", F(2), 0),
-    ("-1/3*q", F(-1, 3), 1),
-    ("0", F(0), 0),
-])
-def test_parse_param_value(text, coeff, qpow):
-    assert parse_param_value(text) == ParamValue(coeff, qpow)
