@@ -19,7 +19,7 @@ from .dsl import parse_expr, render_expr, sub_value
 from .engine import ExactEnv, ExactEvaluator, NumericEnv, eval_exact, eval_numeric
 from .errors import CatalogLoadError, ParseError, QsvError, UnknownId
 from .exact import DEFAULT_ORDER, ParamValue
-from .expr import free_names, param_names
+from .expr import slot_names
 from .verifier import (
     NUMERIC_ONLY,
     GridPoint,
@@ -72,26 +72,38 @@ def parse_exact_value(text: str):
     return m
 
 
-def parse_subst(text: str, backend: str) -> dict:
-    """--subst k=v[,k=v...], each name once; exact values are read by
-    parse_exact_value, numeric ones by parse_numeric_value."""
-    out = {}
-    if not text:
-        return out
-    read = parse_exact_value if backend == "exact" else parse_numeric_value
+def bind_subst(text: str, backend: str, point, params, exps, owner: str):
+    """Bind --subst k=v[,k=v...] into point, each name once.  Exact values
+    are read by parse_exact_value, numeric ones by parse_numeric_value.
+    A value goes to every slot its name fills: q (numeric backend), a
+    parameter (an exact integer as c*q^0), an exponent symbol (an integer
+    on the exact backend); a name that fills none is no slot of owner."""
+    exact = backend == "exact"
+    read = parse_exact_value if exact else parse_numeric_value
+    seen = set()
     for item in text.split(","):
         if "=" not in item:
             raise ParseError(f"bad substitution item {item!r}")
-        name, value = item.split("=", 1)
-        name = name.strip()
-        value = value.strip()
-        if name in out:
+        name, raw = (part.strip() for part in item.split("=", 1))
+        if name in seen:
             raise ParseError(f"duplicate substitution name {name!r}")
+        seen.add(name)
         try:
-            out[name] = read(value)
+            value = read(raw)
         except (ValueError, QsvError) as exc:
-            raise ParseError(f"bad value for {name!r}: {value!r} ({exc})") from exc
-    return out
+            raise ParseError(f"bad value for {name!r}: {raw!r} ({exc})") from exc
+        if name == "q" and not exact:
+            point.q = value
+        elif name not in params and name not in exps:
+            raise UnknownId(f"{name!r} is not a slot of {owner}")
+        if name in exps:
+            if exact and not isinstance(value, int):
+                raise ParseError(f"{name!r} needs an integer value")
+            point.exps[name] = value
+        if name in params:
+            if exact and isinstance(value, int):
+                value = ParamValue(Fraction(value), 0)
+            point.params[name] = value
 
 
 def find_record(records, rid):
@@ -124,25 +136,12 @@ def cmd_list(args) -> int:
     return EXIT_OK
 
 
-def _point_with_overrides(record, backend, overrides):
+def _point_with_overrides(record, backend):
+    """A copy of the record's first default grid point, for --subst to fill."""
     exact = backend == "exact"
     grid = default_exact_grid(record) if exact else default_numeric_grid(record)
     base = grid[0] if grid else GridPoint({}, {}, q=None if exact else num.DEFAULT_Q)
-    point = GridPoint(dict(base.params), dict(base.exps), q=base.q)
-    for name, value in overrides.items():
-        if name == "q" and not exact:
-            point.q = value
-        elif name in record.params:
-            if exact and isinstance(value, int):
-                value = ParamValue(Fraction(value), 0)
-            point.params[name] = value
-        elif name in record.exps:
-            if exact and not isinstance(value, int):
-                raise ParseError(f"{name!r} needs an integer value")
-            point.exps[name] = value
-        else:
-            raise UnknownId(f"{name!r} is not a slot of {record.id}")
-    return [point]
+    return GridPoint(dict(base.params), dict(base.exps), q=base.q)
 
 
 def _run_checks(records, ids, backend, order, tol, subst_text):
@@ -154,8 +153,10 @@ def _run_checks(records, ids, backend, order, tol, subst_text):
             points = None
             # an exact check of a numeric-only record never reads --subst
             if subst_text and not (be == "exact" and record.numeric_only):
-                points = _point_with_overrides(record, be,
-                                               parse_subst(subst_text, be))
+                point = _point_with_overrides(record, be)
+                bind_subst(subst_text, be, point, record.params, record.exps,
+                           record.id)
+                points = [point]
             reports.extend(verify_record(record, backend=be, order=order,
                                          tol=tol, points=points))
     return reports
@@ -218,28 +219,20 @@ def cmd_check_all(args) -> int:
 
 def cmd_eval(args) -> int:
     expr = parse_expr(args.expr)
-    overrides = parse_subst(args.subst or "", args.backend)
-    q = overrides.pop("q", num.DEFAULT_Q) if args.backend == "numeric" else None
-    missing = free_names(expr) - set(overrides)
+    params, exps = slot_names(expr)
+    exact = args.backend == "exact"
+    point = GridPoint({}, {}, q=None if exact else num.DEFAULT_Q)
+    if args.subst:
+        bind_subst(args.subst, args.backend, point, params, exps, "the expression")
+    missing = (params - set(point.params)) | (exps - set(point.exps))
     if missing:
-        raise QsvError(f"unbound names: {sorted(missing)}; bind with --subst")
-    if args.backend == "exact":
-        in_param_position = param_names(expr)
-        params, exps = {}, {}
-        for k, v in overrides.items():
-            if k in in_param_position:
-                params[k] = v if isinstance(v, ParamValue) else ParamValue(Fraction(v), 0)
-            elif isinstance(v, int):
-                exps[k] = v
-            else:
-                params[k] = v
-        env = ExactEnv(order=args.order, params=params, exps=exps)
+        raise ParseError(f"unbound names: {sorted(missing)}; bind with --subst")
+    if exact:
+        env = ExactEnv(order=args.order, params=point.params, exps=point.exps)
         series = eval_exact(expr, env)
         print(" ".join(str(c) for c in series.coeffs))
     else:
-        # a standalone expression does not declare slot roles, so bind every
-        # name in both the parameter and the exponent environment
-        env = NumericEnv(q=q, params=dict(overrides), exps=dict(overrides),
+        env = NumericEnv(q=point.q, params=point.params, exps=point.exps,
                          tol=args.tolerance)
         value = eval_numeric(expr, env)
         print(f"{format_cnum(value)} (relative error <= {args.tolerance:g})")

@@ -155,12 +155,6 @@ def series_add(f: QSeries, g: QSeries) -> QSeries:
     return QSeries.from_ints(n, [x * sa + y * sb for x, y in zip(a, b)], den)
 
 
-def series_scale(f: QSeries, c) -> QSeries:
-    c = Fraction(c)
-    p = c.numerator
-    return QSeries.from_ints(f.order, [p * x for x in f.nums], c.denominator * f.den)
-
-
 def series_shift(f: QSeries, c, m, order=None) -> QSeries:
     """Multiply by the monomial c * q^m (m >= 0), truncated at order
     (default f.order).  f is known modulo q^f.order, so the product is

@@ -269,11 +269,19 @@ def free_names(e: Expr) -> set:
     return out
 
 
-def param_names(e: Expr) -> set:
-    """Free names used as parameter leaves (as opposed to exponent
-    symbols, which only appear inside polynomials)."""
-    return {node.name for node, bound in walk(e)
-            if isinstance(node, Param) and node.name not in bound}
+def slot_names(e: Expr) -> tuple:
+    """(parameter names, exponent symbols): the free names of e used as
+    parameter leaves and those inside exponent polynomials.  A name may be
+    in both; together they are free_names(e)."""
+    params, exps = set(), set()
+    for node, bound in walk(e):
+        if type(node) is Param and node.name not in bound:
+            params.add(node.name)
+        for name, kind in _node_fields(node):
+            value = getattr(node, name)
+            if kind == POLY and value is not INF:
+                exps.update(value.symbols() - bound)
+    return params, exps
 
 
 def substitute(e: Expr, sub: dict, *, check_names: bool = True) -> Expr:

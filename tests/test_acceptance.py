@@ -31,8 +31,8 @@ from qsv.exact import (
     ParamValue,
     series_add,
     series_mul,
-    series_scale,
     series_section,
+    series_shift,
     series_subs_neg_q,
 )
 from qsv.qkernel import ThetaKind, poch_infinite, theta_product, theta_series
@@ -227,7 +227,7 @@ def test_criterion_10_sectioning(catalog):
     rhs = eval_exact(record.rhs, env)
     psi = theta_series(ThetaKind.PSI, n)
     even_part = series_section(psi, 2, 0)
-    averaged = series_scale(series_add(psi, series_subs_neg_q(psi)), F(1, 2))
+    averaged = series_shift(series_add(psi, series_subs_neg_q(psi)), F(1, 2), 0)
     ok = lhs == rhs and rhs == even_part and averaged == even_part
     announce(10, ok, "even-section record verifies at order 128 and equals "
                      "the even part of the triangular theta series, also as "

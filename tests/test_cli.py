@@ -163,6 +163,56 @@ def test_eval_numeric(capsys):
     assert out.startswith("1.2")  # psi(0.2) ~ 1.2279
 
 
+def test_eval_numeric_all_zero_sum(capsys):
+    code, out, _ = run(capsys, "eval", "sum(k=0..inf; 0*q^k)", "--backend", "numeric")
+    assert code == 0
+    assert out.split()[0] == "0+0i"
+
+
+@pytest.mark.parametrize("expr, subst, name", [
+    ("q^n", "n=q", "n"),
+    ("a*q^a", "a=q", "a"),
+])
+def test_eval_exact_exponent_slot_needs_integer_exit_2(capsys, expr, subst, name):
+    # a name in an exponent position takes only an integer, as in check
+    code, out, err = run(capsys, "eval", expr, "--subst", subst)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {name!r} needs an integer value"
+
+
+@pytest.mark.parametrize("argv, name", [
+    (("eval", "a", "--subst", "a=1,b=2"), "b"),
+    (("eval", "a", "--subst", "q=q"), "q"),
+    (("eval", "sum(k=0..inf; q^(k*n))", "--subst", "k=2,n=1"), "k"),
+], ids=["extra-name", "exact-q", "bound-index"])
+def test_eval_name_filling_no_slot_exit_2(capsys, argv, name):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.strip() == f"error: {name!r} is not a slot of the expression"
+
+
+@pytest.mark.parametrize("argv, shown", [
+    # a name in parameter and exponent positions fills both slots
+    (("eval", "a*q^a", "--subst", "a=2", "--order", "8"), "0 0 2 0 0 0 0 0"),
+    (("eval", "a*q^a", "--backend", "numeric", "--subst", "a=2"), "0.08+0i"),
+    # a name only in parameter positions takes any value, -1 included
+    (("eval", "poch(a;q)_2", "--subst", "a=-1", "--order", "6"), "2 2 0 0 0 0"),
+], ids=["exact-both", "numeric-both", "param-only"])
+def test_eval_binds_each_slot_of_a_name(capsys, argv, shown):
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert out.split(" (")[0].strip() == shown
+
+
+def test_eval_unbound_name_exit_2(capsys):
+    code, out, err = run(capsys, "eval", "a")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: unbound names: ['a']; bind with --subst"
+
+
 # -- check ----------------------------------------------------------------------
 
 
@@ -186,6 +236,33 @@ def test_check_negative_exponent_exit_3(capsys):
     assert err.strip().splitlines() == [
         "error: NonIntegerExponent: exponent symbol 'h' must be a "
         "non-negative integer, got -1"]
+
+
+def test_check_exponent_slot_needs_integer_exit_2(capsys):
+    code, out, err = run(capsys, "check", "gb-sym-heine", "--order", "8",
+                         "--subst", "h=q,t=1")
+    assert code == 2
+    assert out == ""
+    assert err.strip() == "error: 'h' needs an integer value"
+
+
+HEINE_R3 = "q=0.5,a=0.3,b=0.2,x=1,z=0.4,c={c}"
+
+
+def test_check_numeric_large_parameter_passes(capsys):
+    code, out, _ = run(capsys, "check", "heine-original", "--backend", "numeric",
+                       "--subst", HEINE_R3.format(c=1025))
+    assert code == 0
+    assert "pass" in out
+
+
+@pytest.mark.xfail(strict=True, reason="R3 (ROADMAP item 1): the sum converges, but its "
+                   "terms peak near 1.4e140 and trip the size guard of "
+                   "numeric.sum_with_tail_bound (NonConvergence: terms are diverging)")
+def test_check_numeric_huge_parameter_passes_r3(capsys):
+    code, out, _ = run(capsys, "check", "heine-original", "--backend", "numeric",
+                       "--subst", HEINE_R3.format(c=1073741824))
+    assert code == 0
 
 
 def test_check_both_backends(capsys):

@@ -22,7 +22,6 @@ from qsv.exact import (
     series_mul_many,
     series_one,
     series_pow,
-    series_scale,
     series_section,
     series_shift,
     series_subs_neg_q,
@@ -222,7 +221,7 @@ def test_integer_kernels_match_reference(order):
     a, b = random_coeffs(order, 1), random_coeffs(order, 2)
     f, g = qs(a, order), qs(b, order)
     assert series_add(f, g).coeffs == tuple(x + y for x, y in zip(a, b))
-    assert series_scale(f, F(-3, 4)).coeffs == tuple(F(-3, 4) * x for x in a)
+    assert series_shift(f, F(-3, 4), 0).coeffs == tuple(F(-3, 4) * x for x in a)
     for m in (0, 1, 5, order + 2):
         want = ([F(0)] * m + [F(2, 3) * x for x in a])[:order]
         assert series_shift(f, F(2, 3), m).coeffs == tuple(want)
@@ -238,7 +237,7 @@ def test_series_are_normalised():
     assert doubled == f and hash(doubled) == hash(f)
     negated = QSeries.from_ints(4, [-x for x in f.nums], -f.den)
     assert negated == f and hash(negated) == hash(f)
-    for zero in (series_zero(5), series_add(f, series_scale(f, -1)),
+    for zero in (series_zero(5), series_add(f, series_shift(f, -1, 0)),
                  QSeries.from_ints(3, [0, 0, 0], 7), series_zero(0)):
         assert zero.den == 1 and zero.is_zero()
 

@@ -47,6 +47,7 @@ from qsv.expr import (
     child_fields,
     free_names,
     normalize,
+    slot_names,
     substitute,
 )
 from qsv.intpoly import IntPoly
@@ -400,8 +401,16 @@ NODE_KIND_CASES = [
 def test_every_node_kind_walks(text, names, substituted, fields):
     e = parse_expr(text)
     assert free_names(e) == names
+    assert set.union(*slot_names(e)) == names
     assert substitute(e, {"h": 2}, check_names=False) == parse_expr(substituted)
     assert tuple(name for name, _ in child_fields(e)) == fields
+
+
+def test_slot_names_by_position():
+    # a parameter leaf, an exponent symbol, or both; bound indices are neither
+    assert slot_names(parse_expr("a*q^a")) == ({"a"}, {"a"})
+    assert slot_names(parse_expr("sum(k=0..inf; z^k * poch(a; q^h)_(n+k))")) == (
+        {"z", "a"}, {"h", "n"})
 
 
 def test_substitute_each_msum_index_is_shadowing():

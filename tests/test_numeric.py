@@ -218,6 +218,15 @@ def test_sum_tail_bound_geometric():
     assert rel_err(total, mpc(2)) < 1e-13
 
 
+def test_sum_tail_bound_all_zero_terms_stop_after_two_runs():
+    # with no nonzero term there is no ratio to read, so the sum stops
+    # after 2 * TAIL_RUN zero terms
+    seen = []
+    total = num.sum_with_tail_bound(lambda k: seen.append(k) or mpc(0), 1e-12)
+    assert total == 0
+    assert seen == list(range(2 * num.TAIL_RUN)) == list(range(40))
+
+
 def test_sum_tail_bound_nonconvergent(monkeypatch):
     monkeypatch.setattr(num, "MAX_TERMS", 500)
     with pytest.raises(NonConvergence):
