@@ -21,7 +21,6 @@ from .errors import CatalogLoadError, ParseError, QsvError, UnknownId
 from .exact import DEFAULT_ORDER, ParamValue
 from .expr import slot_names
 from .verifier import (
-    NUMERIC_ONLY,
     GridPoint,
     default_catalog_path,
     default_exact_grid,
@@ -128,9 +127,8 @@ def cmd_list(args) -> int:
         kind = record.lineage.kind if record.lineage else "-"
         parent = record.lineage.parent if record.lineage else ""
         lineage = f"{kind}<-{parent}" if parent else kind
-        backend = " [numeric]" if record.numeric_only else ""
         print(f"{record.id:28s} {record.anchor:55s} slots: {slots:24s} "
-              f"lineage: {lineage}{backend}")
+              f"lineage: {lineage}")
         shown += 1
     print(f"{shown} identities")
     return EXIT_OK
@@ -151,8 +149,7 @@ def _run_checks(records, ids, backend, order, tol, subst_text):
         record = find_record(records, rid)
         for be in backends:
             points = None
-            # an exact check of a numeric-only record never reads --subst
-            if subst_text and not (be == "exact" and record.numeric_only):
+            if subst_text:
                 point = _point_with_overrides(record, be)
                 bind_subst(subst_text, be, point, record.params, record.exps,
                            record.id)
@@ -184,17 +181,15 @@ def _print_reports(reports, report_path):
             fh.write(emit_report(reports))
 
 
-def _summary_exit(reports, *, skip_ineligible=True) -> int:
+def _summary_exit(reports) -> int:
     passed = sum(1 for r in reports if r.status == "pass")
     mismatched = [r for r in reports if r.status == "mismatch"]
     errored = [r for r in reports if r.status == "error"]
-    hard_errors = [r for r in errored
-                   if not (skip_ineligible and r.error == NUMERIC_ONLY)]
     print(f"summary: {passed} pass, {len(mismatched)} mismatch, "
           f"{len(errored)} error")
     if mismatched:
         return EXIT_MISMATCH
-    if hard_errors:
+    if errored:
         return EXIT_PRECONDITION
     return EXIT_OK
 
@@ -204,7 +199,7 @@ def cmd_check(args) -> int:
     reports = _run_checks(records, [args.id], args.backend, args.order,
                           args.tolerance, args.subst)
     _print_reports(reports, args.report)
-    return _summary_exit(reports, skip_ineligible=False)
+    return _summary_exit(reports)
 
 
 def cmd_check_all(args) -> int:

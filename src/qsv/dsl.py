@@ -152,7 +152,6 @@ class IdentityRecord:
     rhs: Expr
     constraints: tuple = ()
     lineage: Lineage | None = None
-    numeric_only: bool = False
 
 
 class Parser:
@@ -401,7 +400,7 @@ class Parser:
         rid = id_tok.value
         self.expect_punct("{")
         fields = {"anchor": "", "params": (), "exps": (), "constraints": (),
-                  "lineage": None, "backend": False, "lhs": None, "rhs": None}
+                  "lineage": None, "lhs": None, "rhs": None}
         while not self.at_punct("}"):
             tok = self.lex.next()
             if tok.kind != "NAME":
@@ -413,7 +412,7 @@ class Parser:
         end = self.expect_punct("}")
         if fields["lhs"] is None or fields["rhs"] is None:
             self._err(f"identity {rid!r} must define both lhs and rhs", end)
-        record = IdentityRecord(rid, numeric_only=fields.pop("backend"), **fields)
+        record = IdentityRecord(rid, **fields)
         _validate_record(record, id_tok, seen)
         return record
 
@@ -475,20 +474,13 @@ class Parser:
             self._err("anchor needs a quoted string", tok, ['"'])
         return tok.value
 
-    def _read_backend(self) -> bool:
-        tok = self.expect_name()
-        if tok.value not in ("exact", "numeric"):
-            self._err(f"unknown backend {tok.value!r}", tok)
-        return tok.value == "numeric"
-
     def _read_side(self) -> Expr:
         self.expect_punct("=")
         return self.parse_expr()
 
     _CLAUSES = {"anchor": _read_anchor, "params": _name_list, "exps": _name_list,
                 "constraints": lambda self: self._comma_list(self._parse_constraint),
-                "lineage": _parse_lineage, "backend": _read_backend,
-                "lhs": _read_side, "rhs": _read_side}
+                "lineage": _parse_lineage, "lhs": _read_side, "rhs": _read_side}
 
 
 def _validate_record(record: IdentityRecord, id_tok: Token, seen):

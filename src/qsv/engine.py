@@ -45,6 +45,7 @@ from .exact import (
     series_add,
     series_apply_binomials,
     series_inv,
+    series_monomial,
     series_mul,
     series_mul_many,
     series_one,
@@ -323,29 +324,34 @@ class ExactEvaluator:
         elif isinstance(e, Neg):
             out.append((Const(Fraction(-1)), inverted))
             self._flatten_product(e.arg, inverted, out)
+        elif isinstance(e, Pow) and e.exponent.is_const() and e.exponent.const_value() < 0:
+            out.append((Pow(e.base, -e.exponent), not inverted))
         else:
             out.append((e, inverted))
 
     def _eval_product(self, e, idxenv, inverse=False) -> QSeries:
         parts = []
         self._flatten_product(e, inverse, parts)
+        return self._product(parts, idxenv)
 
-        def product(series_parts, reduced):
-            factors = [self._eval(node, idxenv, inv).truncate(reduced)
-                       for node, inv in series_parts]
-            return factors[0] if len(factors) == 1 else series_mul_many(factors)
+    def _parts_product(self, parts, idxenv, reduced) -> QSeries:
+        """The product of the series `parts` modulo q^reduced, evaluated at
+        that order where it passes this evaluator's."""
+        ev = self if reduced <= self.order else ExactEvaluator(replace(self.env, order=reduced))
+        factors = [ev._eval(node, idxenv, inv).truncate(reduced) for node, inv in parts]
+        return factors[0] if len(factors) == 1 else series_mul_many(factors)
 
-        return self._product(parts, idxenv, product)
-
-    def _product(self, parts, idxenv, product, series_parts=()) -> QSeries:
+    def _product(self, parts, idxenv, series=None, series_parts=()) -> QSeries:
         """Product chains: fold every monomial part into one c*q^v
         prefactor, and multiply it by `series_parts` and the other parts,
-        which `product(series_parts, reduced)` builds modulo q^reduced,
-        reduced = order - v (nothing below the prefactor's valuation can
-        matter).  A prefactor at or past the order gives 0
+        which `series(reduced)`, or else `_parts_product`, builds modulo
+        q^reduced, reduced = order - v (nothing below the prefactor's
+        valuation can matter).  A prefactor at or past the order gives 0
         only when every inverted part has a known nonzero constant term;
         otherwise the parts are still built, so that a vanishing
-        denominator raises."""
+        denominator raises.  A prefactor with v < 0 takes the parts
+        modulo q^(order - v), from `_parts_product`, and the shift raises
+        NegativeQPower unless their product vanishes below q^(-v)."""
         N = self.order
         num_mono = den_mono = _ONE
         series_parts = list(series_parts)
@@ -359,16 +365,20 @@ class ExactEvaluator:
                 num_mono = num_mono.mul(m)
         if num_mono.is_zero():
             return series_zero(N)
-        mono = num_mono.div(den_mono)
+        if den_mono.is_zero():
+            raise ZeroConstantTerm("division by a zero parameter value")
+        c, v = num_mono.coeff / den_mono.coeff, num_mono.qpow - den_mono.qpow
         if not series_parts:
-            return mono.to_series(N)
-        reduced = N - mono.qpow
+            return series_monomial(c, v, N)
+        reduced = N - v
         if reduced <= 0:
             if all(self.const0(node, idxenv) not in (None, 0)
                    for node, inv in series_parts if inv):
                 return series_zero(N)
             reduced = 1
-        return series_shift(product(series_parts, reduced), mono.coeff, mono.qpow, N)
+        built = (series(reduced) if series and reduced <= N
+                 else self._parts_product(series_parts, idxenv, reduced))
+        return series_shift(built, c, v, N)
 
     def _eval_symbol(self, e, idxenv, inverse: bool) -> QSeries:
         """A Poch node, or its reciprocal."""
@@ -506,7 +516,7 @@ class SumPlan:
         if self.parts is None:
             self._compile(idxenv)
         return self.ev._product(self.monomials, idxenv,
-                                lambda _, reduced: self._series(idxenv, reduced),
+                                lambda reduced: self._series(idxenv, reduced),
                                 self.parts)
 
     def _series(self, idxenv, reduced) -> QSeries:

@@ -156,17 +156,19 @@ def series_add(f: QSeries, g: QSeries) -> QSeries:
 
 
 def series_shift(f: QSeries, c, m, order=None) -> QSeries:
-    """Multiply by the monomial c * q^m (m >= 0), truncated at order
-    (default f.order).  f is known modulo q^f.order, so the product is
-    known modulo q^(f.order + m), the largest order allowed."""
-    if m < 0:
-        raise NegativeQPower(f"shift by negative q-power {m}")
-    n = f.order if order is None else order
+    """Multiply by the monomial c * q^m, truncated at order (default
+    f.order, or f.order + m for m < 0).  f is known modulo q^f.order, so
+    the product is known modulo q^(f.order + m), the largest order allowed.
+    A negative m drops the first -m coefficients, which must be zero for a
+    power series."""
+    n = f.order + min(m, 0) if order is None else order
     if n > f.order + m:
         raise ValueError(f"order {n} exceeds the known order {f.order + m}")
+    if m < 0 and any(f.nums[:-m]):
+        raise NegativeQPower(f"q^{m} times a series of valuation {f.valuation()}")
     c = Fraction(c)
     p = c.numerator
-    nums = [0] * min(m, n) + [p * x for x in f.nums[:max(n - m, 0)]]
+    nums = [0] * min(max(m, 0), n) + [p * x for x in f.nums[max(-m, 0):max(n - m, 0)]]
     return QSeries.from_ints(n, nums, c.denominator * f.den)
 
 

@@ -55,9 +55,6 @@ EXACT_PARAM_POOL_MULTI = (
 #: (h, t) exponent pairs kept small so multibasic sums stay cheap
 EXACT_EXP_PAIRS = ((1, 1), (1, 2), (2, 1), (2, 2), (1, 3), (3, 1), (2, 3), (3, 2))
 
-#: the error of an exact check of a record declared numeric-only
-NUMERIC_ONLY = "record is numeric-only"
-
 #: target number of grid points per record with free slots
 GRID_TARGET = 5
 GRID_MIN = 3
@@ -299,9 +296,6 @@ def verify(record: IdentityRecord, point: GridPoint, *, backend: str = "exact",
     t0 = time.perf_counter()
     exact = backend == "exact"
     report = _error_report(record, backend, order, tol, render_subst(point, backend))
-    if exact and record.numeric_only:
-        report.error = NUMERIC_ONLY
-        return report
     if exact:
         env = ExactEnv(order=order, params=point.params, exps=point.exps)
         evaluate, digest = eval_exact, series_digest
@@ -335,8 +329,6 @@ def verify(record: IdentityRecord, point: GridPoint, *, backend: str = "exact",
 def verify_record(record: IdentityRecord, *, backend: str = "exact",
                   order: int = DEFAULT_ORDER, tol: float = num.IDENTITY_TOL,
                   points: list | None = None) -> list:
-    if backend == "exact" and record.numeric_only:
-        return [verify(record, GridPoint({}, {}), backend="exact", order=order)]
     if points is None:
         points = (default_exact_grid(record) if backend == "exact"
                   else default_numeric_grid(record))

@@ -71,8 +71,6 @@ def test_criterion_02_exact_sweep(catalog_records):
     reports = []
     grids_ok = True
     for record in sorted(catalog_records, key=lambda r: r.id):
-        if record.numeric_only:
-            continue
         points = default_exact_grid(record)
         if record.params or record.exps:
             grids_ok = grids_ok and len(points) >= 3
@@ -275,7 +273,7 @@ def test_criterion_12_determinism(tmp_path, capsys):
 
 #: SHA-256 of the order-32 exact ``check-all --report`` document of the
 #: shipped catalog, with every ``wall_ms`` set to 0
-EXACT_REPORT_SHA256 = "58c854ea4b52fbd66a8a43a315a8495fe155645241350e42a4d3d12f99be22d3"
+EXACT_REPORT_SHA256 = "cd3765702436a84c56ea3dc413793b52f1250a51eaef6eebb3c34b345b5d0a7c"
 
 #: the same for the numeric ``check-all --report`` document
 NUMERIC_REPORT_SHA256 = "6ac26340b6567a97e3ce9c101380261dc1c87b5f3a1bb005bec7ad778ffdd633"

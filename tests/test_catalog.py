@@ -53,11 +53,6 @@ def test_lineage_parents_resolve(catalog_records, catalog):
             assert record.lineage.kind in ("direct", "limit", "rebase")
 
 
-def test_numeric_only_records(catalog_records):
-    numeric_only = [r.id for r in catalog_records if r.numeric_only]
-    assert numeric_only == ["andrews-fl-r2-s1"]
-
-
 def test_constraints_reference_declared_slots(catalog_records):
     from qsv.expr import free_names
 

@@ -213,6 +213,42 @@ def test_eval_unbound_name_exit_2(capsys):
     assert err.strip() == "error: unbound names: ['a']; bind with --subst"
 
 
+@pytest.mark.parametrize("expr", [
+    "y^(-1) * (y + y^2)", "(y + y^2) / y", "(y^2 + y^3) / (y * y)"])
+def test_eval_negative_prefactor_shifts_down(capsys, expr):
+    # a product's prefactor q^(-1) or q^(-2) takes its series parts past the
+    # order, and the coefficients the shift drops are zero
+    code, out, _ = run(capsys, "eval", expr, "--subst", "y=q", "--order", "6")
+    assert code == 0
+    assert out.strip() == "1 1 0 0 0 0"
+
+
+@pytest.mark.parametrize("expr, subst", [
+    ("a^(-1) * (1 + a)", "a=q"),     # q^(-1) + 1
+    ("(y + y^2) / (y * y)", "y=q"),  # q^(-1) + 1: only the last dropped coefficient is 1
+    ("y^(-1)", "y=q"), ("2*y^(-1)", "y=q"),  # no series part to shift
+])
+def test_eval_negative_valuation_exit_3(capsys, expr, subst):
+    code, out, err = run(capsys, "eval", expr, "--subst", subst, "--order", "6")
+    assert code == 3
+    assert out == "" and "NegativeQPower" in err
+
+
+def test_eval_negative_prefactor_in_a_sum_term(capsys):
+    # the k = 0 term's prefactor is q^(-1); later terms step the running series
+    code, out, _ = run(capsys, "eval", "sum(k=0..inf; y^(-1) * (y + y^2) * q^k)",
+                       "--subst", "y=q", "--order", "6")
+    assert code == 0
+    assert out.strip() == "1 2 2 2 2 2"
+
+
+def test_eval_subst_negative_qpow_value_exit_2(capsys):
+    # a substituted value is still a monomial with q-power >= 0
+    code, out, err = run(capsys, "eval", "a", "--subst", "a=1/q")
+    assert code == 2
+    assert out == "" and "bad value for 'a': '1/q'" in err
+
+
 # -- check ----------------------------------------------------------------------
 
 
@@ -272,6 +308,17 @@ def test_check_both_backends(capsys):
     assert "[exact]" in out and "[numeric]" in out
 
 
+@pytest.mark.parametrize("rid, name, value", [
+    ("gb-sym-heine", "q", "0.3"),  # no exact value
+    ("q-bin", "z", "q"),           # no numeric value
+])
+def test_check_both_takes_values_both_readers_accept(capsys, rid, name, value):
+    code, out, err = run(capsys, "check", rid, "--backend", "both",
+                         "--subst", f"{name}={value}")
+    assert code == 2
+    assert out == "" and f"bad value for {name!r}: {value!r}" in err
+
+
 def test_check_all_numeric_filtered(capsys):
     code, out, _ = run(capsys, "check-all", "--backend", "numeric",
                        "--filter", "gri-")
@@ -284,14 +331,23 @@ def test_check_unknown_id_exit_2(capsys):
     assert code == 2
 
 
-def test_check_numeric_only_under_exact_exit_3(capsys):
+def test_check_fundamental_lemma_shift_1_exact(capsys):
     code, out, _ = run(capsys, "check", "andrews-fl-r2-s1", "--backend", "exact")
-    assert code == 3
-    # the exact check never reads --subst, so a malformed one is no usage error
-    code, out, _ = run(capsys, "check", "andrews-fl-r2-s1", "--backend", "exact",
+    assert code == 0
+    assert "summary: 5 pass, 0 mismatch, 0 error" in out
+    code, _, err = run(capsys, "check", "andrews-fl-r2-s1", "--backend", "exact",
                        "--subst", "not-a-binding")
-    assert code == 3
-    assert "record is numeric-only" in out
+    assert code == 2
+    assert "bad substitution item 'not-a-binding'" in err
+
+
+def test_backend_clause_is_unknown_exit_2(capsys, tmp_path):
+    catalog = tmp_path / "old.qsv"
+    catalog.write_text('identity old {\n  anchor "t";\n  backend numeric;\n'
+                       '  lhs = 1;\n  rhs = 1;\n}\n')
+    code, out, err = run(capsys, "check-all", "--catalog", str(catalog))
+    assert code == 2
+    assert "unknown clause 'backend' at line 3, col 3" in err
 
 
 @pytest.mark.parametrize("command", [("check", "never"), ("check-all",)])

@@ -340,6 +340,32 @@ def test_multisum_stall_detection():
         eval_exact(e, env)
 
 
+# -- the boundaries of the exact backend's proven rules: each case sits where
+# a one-token change to a rule gives a wrong value (see scripts/mutants.py)
+
+
+def test_stop_rule_sums_past_the_cauchy_bound():
+    # 3k^2 - 20k - 20 has its root near 7.55, under Cauchy's bound 1 + 20/3:
+    # the k = 7 term has valuation 64, the k = 8 term valuation 63
+    got = eval_exact(parse_expr("sum(k=0..inf; q^(k^3 - 10*k^2 - 20*k + 351))"),
+                     ExactEnv(order=64))
+    assert got.coeffs == (0,) * 63 + (1,)
+
+
+def test_guarded_term_with_a_vanishing_denominator_is_evaluated():
+    # the bound reaches the order at every term, but the k = 3 term divides by 0
+    e = parse_expr("sum(k=0..inf; q^(k+64) / (1 - b^(k-3)))")
+    with pytest.raises(ValuationStall):
+        eval_exact(e, ExactEnv(order=8, params={"b": pv(2, 0)}))
+
+
+def test_chain_step_keeps_the_last_factor_below_the_order():
+    # the chain's factor (1 - 2q^63) is the last one that is not 1 mod q^64
+    got = eval_exact(parse_expr("sum(k=0..inf; poch(2; q)_(64+k) * q^k)"),
+                     ExactEnv(order=64))
+    assert got[63] == -3455
+
+
 def test_numeric_msum_is_bounded_by_total_terms():
     # nothing decays along k2, so shell d holds about d^2/2 terms: a cap on
     # shells alone would run about 10^9 terms, the total-term cap ends it
@@ -440,8 +466,6 @@ def test_backend_agreement_on_catalog(catalog_records):
 
     q = mpmath.mpf("0.2")
     for record in catalog_records:
-        if record.numeric_only:
-            continue
         chosen = None
         for point in default_exact_grid(record):
             nenv = NumericEnv(

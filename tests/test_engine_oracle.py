@@ -526,8 +526,6 @@ def assert_plan_sound(e, env, check_skipped=True):
 
 def catalog_sums():
     for record in load_catalog_file(default_catalog_path()):
-        if record.numeric_only:
-            continue
         for e in outer_sums(record.lhs) + outer_sums(record.rhs):
             yield record, e
 

@@ -249,6 +249,18 @@ def test_shift_to_a_larger_order():
         series_shift(f, 1, 2, order=5)
 
 
+def test_negative_shift_drops_only_zero_coefficients():
+    # q^-2 * (3q^2 + q^3), known mod q^5, is 3 + q known mod q^3
+    f = qs([0, 0, 3, 1, 0])
+    assert series_shift(f, F(1, 3), -2) == qs([1, F(1, 3), 0])
+    assert series_shift(f, 1, -2, order=2) == qs([3, 1])
+    with pytest.raises(ValueError):
+        series_shift(f, 1, -2, order=4)
+    for g in (qs([0, 1, 3, 0, 0]), qs([1, 0, 0, 0, 0])):
+        with pytest.raises(NegativeQPower):
+            series_shift(g, 1, -2)
+
+
 # -- property tests ------------------------------------------------------------
 
 small_fracs = st.fractions(min_value=-4, max_value=4, max_denominator=6)

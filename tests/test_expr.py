@@ -118,7 +118,7 @@ _BLOCK = 'identity x {{\n  params a;\n  lhs = {lhs};\n  {extra}\n}}'
 @pytest.mark.parametrize("text, line, col, message", [
     (_BLOCK.format(lhs="sum(k=0..inf step 0; a^k)", extra="rhs = a;"), 3, 27,
      "step must be >= 1"),
-    (_BLOCK.format(lhs="a", extra="rhs = a; backend fast;"), 4, 20, "unknown backend 'fast'"),
+    (_BLOCK.format(lhs="a", extra="rhs = a; backend fast;"), 4, 12, "unknown clause 'backend'"),
     (_BLOCK.format(lhs="a", extra="rhs = a; lineage parent=y kind=odd;"), 4, 34,
      "unknown lineage kind 'odd'"),
     (_BLOCK.format(lhs="a", extra=""), 5, 1, "identity 'x' must define both lhs and rhs"),

@@ -34,8 +34,6 @@ def pv(c, m):
 
 def test_grids_have_enough_points(catalog_records):
     for record in catalog_records:
-        if record.numeric_only:
-            continue
         points = default_exact_grid(record)
         if record.params or record.exps:
             assert len(points) >= 3, record.id
@@ -179,11 +177,10 @@ def test_verify_numeric_constraint_violation(catalog):
     assert "Constraint" in report.error
 
 
-def test_numeric_only_record_skipped_under_exact(catalog):
+def test_fundamental_lemma_shift_1_passes_exactly(catalog):
+    # its right side's prefactor y^(-1) has a negative q-power at every point
     reports = verify_record(catalog["andrews-fl-r2-s1"], backend="exact")
-    assert len(reports) == 1
-    assert reports[0].status == "error"
-    assert "numeric-only" in reports[0].error
+    assert [r.status for r in reports] == ["pass"] * 5
 
 
 # -- derivation checks ------------------------------------------------------------
