@@ -6,13 +6,15 @@ backend's proven rules.
     python3 scripts/mutants.py M1 M6      # the named ones
 
 Each mutant changes one rule site: where a sum stops, which term it
-skips, which Pochhammer factor it steps, or which coefficients a shift
-may drop.  For each one the script copies src/ and tests/ to a temporary
-directory, applies the change there, runs ``pytest -x -q tests`` on the
-copy and prints ``killed`` (with the first failing test) or ``survived``,
-and the time taken.  The working tree is never edited.  It exits 1 when a
-mutant survives.  A full pass takes a few minutes: it is a check for a
-change that touches these sites, not a test.
+skips, which Pochhammer factor it steps, which coefficients a shift may
+drop, how far a running series is cut, which infinite product becomes a
+chain, or where a term is added into its sum.  For each one the script
+copies src/ and tests/ to a temporary directory, applies the change
+there, runs ``pytest -x -q tests`` on the copy and prints ``killed``
+(with the first failing test) or ``survived``, and the time taken.  The
+working tree is never edited.  It exits 1 when a mutant survives.  A full
+pass takes a few minutes: it is a check for a change that touches these
+sites, not a test.
 """
 
 from __future__ import annotations
@@ -38,10 +40,20 @@ MUTANTS = [
      "_bound's Div ignores the denominator's valuation"),
     ("M4", "engine.py", "b[0].const_value() > 0", "b[0].const_value() >= 0",
      "_nonzero takes a guard that can be 0 as proven nonzero"),
-    ("M5", "engine.py", "if e >= series.order:", "if e >= series.order - 1:",
+    ("M5", "engine.py", "if e >= order:", "if e >= order - 1:",
      "SumPlan._move skips the last factor below the order"),
     ("M6", "exact.py", "any(f.nums[:-m])", "any(f.nums[:-m - 1])",
      "series_shift drops a negative shift's last coefficient unchecked"),
+    ("M7", "engine.py", "range(first, max(first, rises[level] + 1) + 1)",
+     "range(first, first + 1)",
+     "SumPlan._precision takes the level's minimum at the current term only"),
+    ("M8", "engine.py", "first = values[level]", "first = values[level] + 1",
+     "SumPlan._precision starts the level's range one value late"),
+    ("M9", "engine.py", "c.denominator != 1", "c.denominator < 1",
+     "SumPlan._moving_product takes a chain length that h does not divide"),
+    ("M10", "engine.py", "term.nums.index(next(filter(None, term.nums), 0))",
+     "term.nums.index(next(filter(None, term.nums), 0)) + 1",
+     "_eval_sum adds each term from one past its valuation"),
 ]
 
 

@@ -22,6 +22,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import repeat
+from operator import add, mul
 
 import mpmath
 from mpmath import mpc
@@ -341,22 +343,21 @@ class ExactEvaluator:
         factors = [ev._eval(node, idxenv, inv).truncate(reduced) for node, inv in parts]
         return factors[0] if len(factors) == 1 else series_mul_many(factors)
 
-    def _product(self, parts, idxenv, series=None, series_parts=()) -> QSeries:
-        """Product chains: fold every monomial part into one c*q^v
-        prefactor, and multiply it by `series_parts` and the other parts,
-        which `series(reduced)`, or else `_parts_product`, builds modulo
-        q^reduced, reduced = order - v (nothing below the prefactor's
-        valuation can matter).  A prefactor at or past the order gives 0
-        only when every inverted part has a known nonzero constant term;
-        otherwise the parts are still built, so that a vanishing
-        denominator raises.  A prefactor with v < 0 takes the parts
-        modulo q^(order - v), from `_parts_product`, and the shift raises
-        NegativeQPower unless their product vanishes below q^(-v)."""
+    def _product(self, parts, idxenv, series=None, series_parts=(), monomial=None) -> QSeries:
+        """Product chains: fold every monomial part, by `monomial` (default
+        `self.monomial`), into one c*q^v prefactor, and multiply it by
+        `series_parts` and the other parts, which `series(reduced)`, or else
+        `_parts_product`, builds modulo q^reduced, reduced = order - v.  A
+        prefactor at or past the order gives 0 only when every inverted part
+        has a known nonzero constant term; otherwise the parts are still
+        built, so that a vanishing denominator raises.  A prefactor with v < 0
+        takes the parts modulo q^(order - v), from `_parts_product`, and the
+        shift raises NegativeQPower unless their product vanishes below q^(-v)."""
         N = self.order
         num_mono = den_mono = _ONE
         series_parts = list(series_parts)
         for node, inv in parts:
-            m = self.monomial(node, idxenv)
+            m = (monomial or self.monomial)(node, idxenv)
             if m is None:
                 series_parts.append((node, inv))
             elif inv:
@@ -405,12 +406,18 @@ class ExactEvaluator:
     # -- sums -------------------------------------------------------------------
 
     def _eval_sum(self, indices, start, stride, summand, idxenv) -> QSeries:
-        """Each index runs through start, start + stride, ...: `SumPlan.points`."""
+        """Each index runs through start, start + stride, ...: `SumPlan.points`.
+        Each term is added from its valuation on; the total is normalised once."""
         plan = SumPlan(self, indices, summand, idxenv)
-        total = series_zero(self.order)
+        total, den = [0] * self.order, 1
         for sub_idx in plan.points(idxenv, start, stride):
-            total = series_add(total, plan.term(sub_idx))
-        return total
+            term = plan.term(sub_idx)
+            v = term.nums.index(next(filter(None, term.nums), 0))
+            if den % term.den:
+                scale = term.den // math.gcd(den, term.den)
+                total, den = [x * scale for x in total], den * scale
+            total[v:] = map(add, total[v:], map(mul, term.nums[v:], repeat(den // term.den)))
+        return QSeries.from_ints(self.order, total, den)
 
 
 class SumPlan:
@@ -425,14 +432,17 @@ class SumPlan:
     that needs them, into the running series, and binomials 1 + m (m an
     index-dependent monomial) are applied per term.  Chains -- finite
     (x; q^h)_len with x != 1 and h index-free, also to a fixed power >= 1,
-    among them the two symbols of a qomega or qstride quotient -- stay in the
-    running series, which a term moves to its lengths by each factor
+    among them the two symbols of a qomega or qstride quotient, and the
+    (x; q^h)_m of an infinite product split by `_moving_product` -- stay in
+    the running series, which a term moves to its lengths by each factor
     (1 - x q^(x.qpow + h*i)) in between.  One running series is kept per
     index level (the first term under the current values of the indices up
-    to it), so an msum never divides back when an inner index resets.  Any
-    other index-dependent part is evaluated per term by `_eval` and
-    multiplied in.  Parts are evaluated in product order, so a term
-    raises what `_eval` of the summand raises."""
+    to it), so an msum never divides back when an inner index resets, and
+    modulo q^(N - w), w the least monomial q-power of the terms still to
+    come from that level (`_precision`).  Any other index-dependent part
+    is evaluated per term by `_eval`, modulo q^(N - v), and multiplied in.
+    Parts are evaluated in product order, so a term raises what `_eval` of
+    the summand raises."""
 
     def __init__(self, ev: ExactEvaluator, indices, summand, idxenv):
         compiled = ev.val_lb(summand, idxenv, indices)
@@ -517,7 +527,15 @@ class SumPlan:
             self._compile(idxenv)
         return self.ev._product(self.monomials, idxenv,
                                 lambda reduced: self._series(idxenv, reduced),
-                                self.parts)
+                                self.parts, self._monomial if self._mentions else None)
+
+    def _monomial(self, node, idxenv) -> ParamValue:
+        """A monomial part, evaluated once per value of the indices it mentions."""
+        key = (id(node), *[idxenv[ix] for ix in self._mentions[id(node)]])
+        m = self._monomial_values.get(key)
+        if m is None:
+            m = self._monomial_values[key] = self.ev.monomial(node, idxenv)
+        return m
 
     def _series(self, idxenv, reduced) -> QSeries:
         """The product of the series parts at this term, modulo q^reduced."""
@@ -531,40 +549,57 @@ class SumPlan:
                 if inv and m.qpow == 0 and m.coeff == -1:
                     raise ZeroConstantTerm("cannot invert a series with zero constant term")
                 binomials.append((m.coeff, m.qpow, inv))
-            elif kind == "eval" or fixed is not None:
-                value = ev._eval(target, idxenv, inv)
-                (evaluated if kind == "eval" else fixed).append(value)
+            elif kind == "eval":  # at the term's order
+                at = ExactEvaluator(replace(ev.env, order=reduced))
+                evaluated.append(at._eval(target, idxenv, inv))
+            elif fixed is not None:
+                fixed.append(ev._eval(target, idxenv, inv))
         if fixed is not None:
             start = series_mul_many(fixed) if fixed else series_one(ev.order)
             self._levels = [((0,) * len(self.chains), start)] * len(self.indices)
         series = self._move(tuple(idxenv[ix] for ix in self.indices), lengths)
-        series = series.truncate(reduced)
-        if binomials:
-            series = series_apply_binomials(series, binomials)
+        series = (series_apply_binomials(series, binomials, reduced) if binomials
+                  else series.truncate(reduced))
         return series_mul_many([series, *evaluated]) if evaluated else series
 
     def _move(self, values, lengths) -> QSeries:
         """The running series of the outermost index level that changed
-        since the last move, stepped to `lengths`."""
+        since the last move, cut to `_precision` and stepped to `lengths`."""
         level = next((i for i, (a, b) in enumerate(zip(values, self._last)) if a != b),
                      len(values) - 1)
         have, series = self._levels[level]
+        order = self._precision(level, values)
         factors = []
         for (c, e0, h, power), old, new in zip(self.chains, have, lengths):
             inverse = (new > old) != (power > 0)
             for i in range(min(old, new), max(old, new)):
                 e = e0 + h * i
-                if e >= series.order:
-                    break  # this factor and all later ones are 1 mod q^N
+                if e >= order:
+                    break  # this factor and all later ones are 1 at this order
                 factors += [(c, e, inverse)] * abs(power)
-        series = series_apply_binomials(series, factors)
+        series = (series_apply_binomials(series, factors, order) if factors
+                  else series.truncate(order))
         self._levels[level:] = [(lengths, series)] * (len(values) - level)
         self._last = values
         return series
 
+    def _precision(self, level, values) -> int:
+        """N - w within 1..N, w the least monomial q-power of the terms still to
+        come from `level` (outer indices fixed, its own from its value, inner from 0)."""
+        N = self.ev.order
+        if self.cut is None:
+            return N
+        den, const, parts, rises, rest = self.cut
+        first = values[level]
+        low = (const + rest[level] + sum(map(_horner, parts[:level], values))
+               + min(_horner(parts[level], k)
+                     for k in range(first, max(first, rises[level] + 1) + 1)))
+        return min(N, max(1, N + (-low) // den))
+
     def _compile(self, idxenv):
         """Sort the summand's parts into monomials and per-term steps."""
-        ev, names = self.ev, set(self.indices)
+        ev, names = self.ev, frozenset(self.indices)
+        env = {k: v for k, v in idxenv.items() if k not in names}
         self.monomials, self.parts, self.steps, self.chains, flat = [], [], [], [], []
         ev._flatten_product(self.summand, False, flat)
         for node, inv in flat:  # every monomial first, as _product evaluates them
@@ -573,13 +608,31 @@ class SumPlan:
             else:
                 self.monomials.append((node, inv))
         for node, inv in self.parts:
-            self.steps.append(self._step(node, inv, names, idxenv)
+            self.steps.append(self._step(node, inv, names, idxenv, env)
                               if not free_names(node).isdisjoint(names)
                               else ("fixed", node, inv))
+        self.cut = self._compile_cut(env, names) if self.chains else None
+        self._mentions = len(self.indices) > 1 and {id(node): tuple(  # msums only
+            ix for ix in self.indices if ix in free_names(node)) for node, _ in self.monomials}
+        self._monomial_values = {}  # (id(node), values of the indices it mentions)
         self._levels = None  # built from the fixed parts at the first move
         self._last = (None,) * len(self.indices)  # no term yet
 
-    def _step(self, node, inv, names, idxenv):
+    def _compile_cut(self, env, names):
+        """A term's monomial q-power by `_int_parts`, with `increasing_from` and
+        the inner indices' minima, for `_precision`; None if it has no lower bound."""
+        bounds = [(self.ev._bound(node, env, names, []), inv) for node, inv in self.monomials]
+        if not all(b for b, _ in bounds):
+            return None  # a zero monomial: the term is 0 or raises
+        power = sum((-b[0] if inv else b[0] for b, inv in bounds), ZERO)
+        den, const, parts, positive = _int_parts(power, self.indices)
+        if not positive or any(f[-1] < 0 for f in parts):
+            return None
+        rises = [increasing_from(f) for f in parts]
+        lows = [min(_horner(f, k) for k in range(r + 2)) for f, r in zip(parts, rises)]
+        return den, const, parts, rises, [sum(lows[j + 1:]) for j in range(len(lows))]
+
+    def _step(self, node, inv, names, idxenv, env):
         """The per-term step of an index-dependent series part: ("chain",
         length, None) for the chain it appended, ("binomial", m, inv) for
         1 + m, or ("eval", node, inv) for a part evaluated whole at each
@@ -591,9 +644,10 @@ class SumPlan:
             if not node.exponent.symbols().isdisjoint(names) or n < 1:
                 return whole
             node, power = node.base, power * n
-        if isinstance(node, Poch):
-            if (node.length is INF or not free_names(node.arg).isdisjoint(names)
-                    or not node.base.symbols().isdisjoint(names)):
+        if isinstance(node, Poch) and node.base.symbols().isdisjoint(names):
+            if node.length is INF:
+                return self._moving_product(node, power, names, idxenv, env) or whole
+            if not free_names(node.arg).isdisjoint(names):
                 return whole
             x = ev.monomial(node.arg, idxenv)
             if x is None or (x.qpow == 0 and x.coeff == 1):
@@ -606,6 +660,27 @@ class SumPlan:
                 and not any(isinstance(n, Div) for n, _ in walk(node.right))):
             return ("binomial", node.right, inv)
         return whole
+
+    def _moving_product(self, node, power, names, idxenv, env):
+        """(c*q^L; q^h)_inf, c index-free, L(0) >= 1, is (x; q^h)_inf / (x; q^h)_m, x = c*q^L(0)
+        when m = (L - L(0))/h has non-negative integer coefficients: add both steps, or None."""
+        ev = self.ev
+        if not _is_monomial(node.arg) or any(  # or an index outside its q-powers
+                isinstance(n, Pow) and not free_names(n).isdisjoint(names)
+                for n, _ in walk(node.arg)):
+            return None
+        power_of_q = ev._bound(node.arg, env, names, [])  # (), c = 0, or (L,)
+        h = ev._base_exp(node.base, idxenv)
+        m = power_of_q and power_of_q[0].without_constant() * Fraction(1, h)
+        if (not m or power_of_q[0].const_value() < 1
+                or any(c < 0 or c.denominator != 1 for c in m.terms.values())):
+            return None
+        x = ev.monomial(node.arg, {**idxenv, **dict.fromkeys(names, 0)})
+        fixed = Poch(Mul(Const(x.coeff), QPow(IntPoly.const(x.qpow))), node.base, INF)
+        self.steps.append(("fixed", fixed if abs(power) == 1
+                           else Pow(fixed, IntPoly.const(abs(power))), power < 0))
+        self.chains.append((-x.coeff, x.qpow, h, -power))
+        return ("chain", m, None)
 
 
 def _is_monomial(e: Expr) -> bool:

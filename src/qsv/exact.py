@@ -194,18 +194,18 @@ def series_mul(f: QSeries, g: QSeries) -> QSeries:
     return QSeries.from_ints(n, _int_convolve(f.nums, g.nums, n), f.den * g.den)
 
 
-def series_apply_binomials(f: QSeries, factors) -> QSeries:
-    """f times (1 + c*q^e), or divided by it where inverse, for each
-    (c, e, inverse) in factors (c an int or a Fraction): O(N) integer
-    operations per factor and one gcd normalisation at the end.  Factors
-    with e >= f.order are 1 modulo q^N and skipped.
+def series_apply_binomials(f: QSeries, factors, order=None) -> QSeries:
+    """f, modulo q^order (default f.order), times (1 + c*q^e), or divided
+    by it where inverse, for each (c, e, inverse) in factors (c an int or a
+    Fraction): O(N) integer operations per factor and one gcd normalisation
+    at the end.  Factors with e >= N are 1 modulo q^N and skipped.
 
     With c = p/d a product has the numerators d*a[i] + p*a[i-e] over d*den.
     A quotient g satisfies g[i] = a[i] - c*g[i-e] (e >= 1); the integers
     H[i] = d^k * g[i], k = i // e, satisfy H[i] = d^k * a[i] - p*H[i-e],
     and g[i] = H[i] * d^(K-k) / d^K over the largest k = K."""
-    n = f.order
-    out, den = list(f.nums), f.den
+    n = f.order if order is None else min(order, f.order)
+    out, den = list(f.nums[:n]), f.den
     for c, e, inverse in factors:
         if e < 0:
             raise NegativeQPower(f"binomial factor with negative q-power {e}")

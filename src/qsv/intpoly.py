@@ -128,18 +128,23 @@ class IntPoly:
 
     def subst(self, env: dict) -> "IntPoly":
         """Replace symbols by IntPoly or integer values (simultaneous)."""
-        out = IntPoly()
+        if not any(s in env for m in self.terms for s, _ in m):
+            return self
+        out = {}
         for m, c in self.terms.items():
-            part = IntPoly.const(c)
+            kept, part = [], None
             for s, p in m:
-                if s in env:
-                    v = env[s]
-                    v = IntPoly.const(v) if isinstance(v, int) else v
-                    part = part * v.pow(p)
+                v = env.get(s)
+                if isinstance(v, int):
+                    c *= v ** p
+                elif v is None:
+                    kept.append((s, p))
                 else:
-                    part = part * IntPoly({((s, p),): Fraction(1)})
-            out = out + part
-        return out
+                    part = v.pow(p) if part is None else part * v.pow(p)
+            mono = IntPoly({tuple(kept): c})
+            for key, c in (mono if part is None else mono * part).terms.items():
+                out[key] = out.get(key, 0) + c
+        return IntPoly(out)
 
     def eval(self, env: dict):
         """Numeric evaluation; env maps symbols to numbers (Fraction,

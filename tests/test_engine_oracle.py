@@ -374,7 +374,9 @@ PLAN_CASES = [
     ("sum(k=0..inf; q^k * poch(a*q^k; q)_3)", 1),
     ("sum(k=0..inf; z^k * sum(j=0..inf; q^(j*(k+1))))", 1),
     ("sum(k=0..inf; z^k * poch(1; q)_k)", 1),
-    ("sum(k=0..inf; poch(a; q)_k * poch(b*q^k; q)_2 * z^k / poch(w*q^(k+1); q)_inf)", 2),
+    ("sum(k=0..inf; poch(a; q)_k * poch(b*q^k; q)_2 * z^k / poch(w*q^(k+1); q)_inf)", 1),
+    ("sum(k=0..inf; poch(a*q^(2*k+1); q^2)_inf * q^(k^2 - 4*k + 4))", 0),
+    ("sum(k=0..inf; q^k / poch(a*q^(k+1); q^3)_inf)", 1),
     ("sum(k=0..inf; z^k * q^k + q^(k*k))", 1),
 ]
 
@@ -405,6 +407,27 @@ def test_sum_plan_matches_naive(text, per_term, params):
     assert eval_exact(e, env) == to_series(naive_eval(e, env, {}, order), order)
     plan = _first_plan(e, env)
     assert sum(kind == "eval" for kind, *_ in plan.steps) == per_term
+
+
+# Each index level's running series is kept only to the precision the
+# terms still to come from it can use.  At its boundaries: a monomial
+# q-power that dips after the first term, one that dips along an msum's
+# inner index, and an infinite product whose argument moves with the index,
+# stepped as a chain (base q^2) or evaluated whole (base q^3).
+CUT_CASES = [
+    "sum(k=0..inf; (1+1) * a^k * q^(9 - 6*k + k^2))",
+    "msum(j, k; q^(j + k^2 - 6*k + 9) * poch(a; q)_(j+k))",
+    "sum(k=0..inf; poch(a*q^(2*k+1); q^2)_inf * q^(k^2 - 4*k + 4))",
+    "sum(k=0..inf; q^k / poch(a*q^(k+1); q^3)_inf)",
+]
+
+
+@pytest.mark.parametrize("text", CUT_CASES)
+def test_running_series_cut_matches_naive(text):
+    e = parse_expr(text)
+    order = 24
+    env = ExactEnv(order=order, params={"a": ParamValue(F(-1, 3), 1)})
+    assert eval_exact(e, env) == to_series(naive_eval(e, env, {}, order), order)
 
 
 def test_sum_plan_raises_for_a_vanishing_denominator():
