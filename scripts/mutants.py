@@ -8,10 +8,11 @@ backend's proven rules.
 Each mutant changes one rule site: where a sum stops, which term it
 skips, which Pochhammer factor it steps, which coefficients a shift may
 drop, how far a running series is cut, which infinite product becomes a
-chain, or where a term is added into its sum.  For each one the script
-copies src/ and tests/ to a temporary directory, applies the change
-there, runs ``pytest -x -q tests`` on the copy and prints ``killed``
-(with the first failing test) or ``survived``, and the time taken.  The
+chain, where a term is added into its sum, or when a product is zero.  For each one the script
+copies src/, tests/ and perfbench/ (a test reads its tracer) to a
+temporary directory, applies the change there, runs ``pytest -x -q
+tests`` on the copy and prints ``killed`` (with the node id of the first
+failing test) or ``survived``, and the time taken.  The
 working tree is never edited.  It exits 1 when a mutant survives.  A full
 pass takes a few minutes: it is a check for a change that touches these
 sites, not a test.
@@ -54,7 +55,27 @@ MUTANTS = [
     ("M10", "engine.py", "term.nums.index(next(filter(None, term.nums), 0))",
      "term.nums.index(next(filter(None, term.nums), 0)) + 1",
      "_eval_sum adds each term from one past its valuation"),
+    ("M11", "engine.py", "if sum(lows) >= need:", "if sum(lows) >= need - 1:",
+     "SumPlan.points drops a row one short of its threshold at every term"),
+    ("M12", "qkernel.py", "below = max(-(-(order - x.qpow) // h), 0)",
+     "below = max((order - x.qpow) // h, 0)",
+     "qkernel._chain counts the factors below the order rounding down"),
+    ("M13", "exact.py", "if e >= n or not c:", "if e >= n - 1 or not c:",
+     "series_apply_binomials skips a factor at the last power below the order"),
+    ("M14", "engine.py", "        if reduced <= 0:", "        if reduced <= 1:",
+     "_product takes a product whose monomial is q^(N-1) as zero"),
 ]
+
+#: a pytest plugin, written into the copy, that appends the node id of
+#: each failed test or collection to failed.txt
+REPORTER = """def pytest_runtest_logreport(report):
+    if report.failed:
+        with open("failed.txt", "a", encoding="utf-8") as fh:
+            fh.write(report.nodeid + "\\n")
+
+
+pytest_collectreport = pytest_runtest_logreport
+"""
 
 
 def mutate(tree: Path, filename: str, text: str, replacement: str):
@@ -69,19 +90,21 @@ def run_mutant(filename, text, replacement):
     """(killed, the first failing test or '', seconds)."""
     with tempfile.TemporaryDirectory(prefix="qsv-mutant-") as tmp:
         tree = Path(tmp)
-        for part in ("src", "tests"):
+        for part in ("src", "tests", "perfbench"):
             shutil.copytree(ROOT / part, tree / part,
-                            ignore=shutil.ignore_patterns("__pycache__"))
+                            ignore=shutil.ignore_patterns("__pycache__", "out"))
         mutate(tree, filename, text, replacement)
-        env = {**os.environ, "PYTHONPATH": str(tree / "src"),
+        (tree / "mutant_reporter.py").write_text(REPORTER, encoding="utf-8")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(tree / "src"), str(tree)]),
                "PYTHONDONTWRITEBYTECODE": "1"}
         t0 = time.perf_counter()
         done = subprocess.run(
-            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "tests"],
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             "-p", "mutant_reporter", "tests"],
             cwd=tree, env=env, capture_output=True, text=True)
         seconds = time.perf_counter() - t0
-    failed = next((line.split(" - ")[0] for line in done.stdout.splitlines()
-                   if line.startswith(("FAILED", "ERROR"))), "")
+        report = tree / "failed.txt"
+        failed = report.read_text(encoding="utf-8").split("\n")[0] if report.exists() else ""
     return done.returncode != 0, failed, seconds
 
 

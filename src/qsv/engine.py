@@ -865,25 +865,6 @@ class NumericEvaluator:
 
         return num.sum_with_tail_bound(shell, self.tol, tail_run=5)
 
-    @mpmath.workdps(num.WORK_DPS)
-    def sum_sectioned_roots(self, summand, index, r, s, idxenv=None) -> mpc:
-        """Root-of-unity averaging route for the sectioned sum: average the
-        full sums with the summand twisted by w^(nu*index)."""
-        if r < 1 or not (0 <= s < r):
-            raise ValueError("need r >= 1 and 0 <= s < r")
-        sym = self._bind(idxenv)
-        total = mpc(0)
-        for nu in range(r):
-            w = num.root_of_unity(r, nu)
-
-            def term(k, w=w, plan=NumericPlan((index,), summand)):
-                value = self._eval(summand, {**sym, index: k}, plan)
-                return value * w ** k
-
-            total += num.root_of_unity(r, -nu * s) * num.sum_with_tail_bound(
-                term, self.tol)
-        return total / r
-
 
 class NumericPlan:
     """Per-node facts of one numeric sum's summand, and the values they
@@ -926,52 +907,3 @@ def _compositions(total, parts, start, stride):
 def eval_numeric(e: Expr, env: NumericEnv) -> mpc:
     return NumericEvaluator(env).eval(e)
 
-
-# ---------------------------------------------------------------------------
-# Fundamental-Lemma numeric sides (general section count r needs literal
-# roots of unity and fractional powers, outside the catalog DSL)
-# ---------------------------------------------------------------------------
-
-
-@mpmath.workdps(num.WORK_DPS)
-def fl_lhs_numeric(a, b, c, z, q, p, r, s, u, v, tol=num.IDENTITY_TOL) -> mpc:
-    """sum_k (a;q)_{rk+s}/(q;q)_{rk+s} * (b;p)_{uk+v}/(c;p)_{uk+v} * z^k."""
-    a, b, c, z, q, p = map(num.to_cnum, (a, b, c, z, q, p))
-
-    def term(k):
-        n1 = r * k + s
-        n2 = u * k + v
-        t1 = num.qpoch_finite_numeric(a, q, n1) / num.qpoch_finite_numeric(q, q, n1)
-        t2 = num.qpoch_finite_numeric(b, p, n2) / num.qpoch_finite_numeric(c, p, n2)
-        return t1 * t2 * z ** k
-
-    return num.sum_with_tail_bound(term, tol)
-
-
-@mpmath.workdps(num.WORK_DPS)
-def fl_rhs_numeric(a, b, c, z, q, p, r, s, u, v, tol=num.IDENTITY_TOL) -> mpc:
-    """(1/r) (b;p)_inf/(c;p)_inf sum_{nu<r} w^{-s nu} z^{-s/r}
-    sum_j (c/b;p)_j/(p;p)_j * (a w^nu z^{1/r} p^{uj/r};q)_inf /
-    (w^nu z^{1/r} p^{uj/r};q)_inf * (b p^{v-us/r})^j with w = e^{2 pi i/r}."""
-    a, b, c, z, q, p = map(num.to_cnum, (a, b, c, z, q, p))
-    prefix = num.qpoch_inf_numeric(b, p, tol) / num.qpoch_inf_numeric(c, p, tol)
-    z_root = num.cpow(z, mpmath.mpf(1) / r)
-    z_neg = num.cpow(z, -mpmath.mpf(s) / r)
-    bp = b * num.cpow(p, v - mpmath.mpf(u * s) / r)
-    cb = c / b
-    total = mpc(0)
-    for nu in range(r):
-        w = num.root_of_unity(r, nu)
-
-        def term(j, w=w):
-            pfrac = num.cpow(p, mpmath.mpf(u * j) / r)
-            base_arg = w * z_root * pfrac
-            ratio = (num.qpoch_inf_numeric(a * base_arg, q, tol)
-                     / num.qpoch_inf_numeric(base_arg, q, tol))
-            coeff = (num.qpoch_finite_numeric(cb, p, j)
-                     / num.qpoch_finite_numeric(p, p, j))
-            return coeff * ratio * bp ** j
-
-        inner = num.sum_with_tail_bound(term, tol)
-        total += num.root_of_unity(r, -s * nu) * z_neg * inner
-    return prefix * total / r

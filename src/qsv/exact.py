@@ -107,13 +107,6 @@ class QSeries:
             return self
         return QSeries.from_ints(order, self.nums[:order], self.den)
 
-    def eval_at(self, x):
-        """Numeric value of the truncated polynomial at x (Horner)."""
-        acc = 0
-        for n in reversed(self.nums):
-            acc = acc * x + n
-        return acc / self.den if self.den != 1 else acc
-
     def __str__(self):
         parts = []
         for i, c in enumerate(self.coeffs):
@@ -307,21 +300,6 @@ def series_pow(f: QSeries, k: int) -> QSeries:
         base = series_mul(base, base) if k > 1 else base
         k >>= 1
     return result
-
-
-def series_section(f: QSeries, r: int, s: int) -> QSeries:
-    """Multisection: keep only coefficients of q^i with i = s (mod r),
-    exponents unchanged.  (f_even = series_section(f, 2, 0), etc.)"""
-    if r < 1 or not (0 <= s < r):
-        raise ValueError("need r >= 1 and 0 <= s < r")
-    out = [x if i % r == s else 0 for i, x in enumerate(f.nums)]
-    return QSeries.from_ints(f.order, out, f.den)
-
-
-def series_subs_neg_q(f: QSeries) -> QSeries:
-    """f(-q): negate coefficients of odd powers."""
-    return QSeries.from_ints(f.order, [-x if i & 1 else x for i, x in enumerate(f.nums)],
-                             f.den)
 
 
 @dataclass(frozen=True)

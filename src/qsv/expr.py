@@ -909,6 +909,3 @@ def normalize(e: Expr) -> Expr:
     bookkeeping, or index-free factors inside sums."""
     return rebuild(canon(e))
 
-
-def canon_equal(a: Expr, b: Expr) -> bool:
-    return canon(a) == canon(b)

@@ -85,11 +85,6 @@ def cpow(base, exp) -> mpc:
     return check_finite(mpmath.exp(exp * mpmath.log(base)))
 
 
-def root_of_unity(r: int, index: int = 1) -> mpc:
-    """w_r^index with w_r = exp(2*pi*i/r)."""
-    return mpmath.exp(2j * mpmath.pi * index / r)
-
-
 def qpoch_inf_numeric(x, qbase, tol=SCALAR_TOL) -> mpc:
     """(x; qbase)_inf = prod_{r>=0} (1 - x*qbase^r) for |qbase| < 1.
 

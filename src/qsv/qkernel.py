@@ -1,5 +1,5 @@
-"""q-Pochhammer symbols over the exact backend, Ramanujan theta functions,
-and the elementary product identities used throughout the catalog.
+"""q-Pochhammer symbols over the exact backend and Ramanujan theta
+functions.
 
 Conventions: (x; q^h)_k is the product of k factors (1 - x*q^{h*i}),
 i = 0..k-1; (x; q^h)_inf is the infinite product, which truncates at a
@@ -16,7 +16,6 @@ from .exact import (
     ParamValue,
     QSeries,
     series_apply_binomials,
-    series_inv,
     series_mul,
     series_one,
 )
@@ -90,31 +89,6 @@ def poch_infinite_inv(x: ParamValue, h: int, order: int) -> QSeries:
             "1/(x;q^h)_inf with a zero-valuation argument does not truncate"
         )
     return _chain(x, h, None, order, inverse=True)
-
-
-def poch_elementary_ratio(x: ParamValue, h: int, k: int, order: int) -> QSeries:
-    """(x;q^h)_inf / (x*q^{hk};q^h)_inf, the infinite-product route to the
-    finite symbol.  Must agree with poch_finite coefficientwise."""
-    if k < 0:
-        raise ValueError("length must be non-negative")
-    if x.is_zero() or k == 0:
-        return series_one(order)
-    num = poch_infinite(x, h, order)
-    shifted = ParamValue(x.coeff, x.qpow + h * k)
-    den = poch_infinite(shifted, h, order)
-    return series_mul(num, series_inv(den))
-
-
-def poch_stride_product(a: ParamValue, r: int, k: int, h_inner: int, order: int) -> QSeries:
-    """(a, aq^{h}, aq^{2h}, ..., aq^{(r-1)h}; q^{rh})_k as a product of r
-    finite symbols; equals (a; q^h)_{rk}."""
-    if r < 1:
-        raise ValueError("stride must be a positive integer")
-    out = series_one(order)
-    for j in range(r):
-        shifted = ParamValue(a.coeff, a.qpow + h_inner * j)
-        out = series_mul(out, poch_finite(shifted, r * h_inner, k, order))
-    return out
 
 
 class ThetaKind(Enum):

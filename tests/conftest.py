@@ -1,6 +1,8 @@
 import dataclasses
 import random
+from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import settings
 
@@ -8,7 +10,9 @@ from hypothesis import settings
 settings.register_profile("ci", derandomize=True)
 settings.load_profile("ci")
 
-from qsv.dsl import parse_catalog
+from qsv import numeric as num
+from qsv.dsl import parse_catalog, parse_expr
+from qsv.engine import NumericEnv, eval_numeric
 from qsv.expr import INF, Const, Param, Poch, Pow, QPow, child_fields
 from qsv.intpoly import IntPoly
 from qsv.verifier import default_catalog_path
@@ -58,6 +62,37 @@ identity multibasic-m{m} {{
 
 #: node class -> the fault a site of that class takes
 SITE_KINDS = {QPow: "qpow", Pow: "pow", Poch: "len", Const: "const", Param: "param"}
+
+
+def fundamental_lemma_sides(r: int, s: int):
+    """Both sides of Andrews' Fundamental Lemma in its r-section form, at
+    p = q = 0.3, a = 0.25, b = 0.15, c = 0.4, z = 0.25, u = 2, v = 1, on
+    the numeric evaluator at tolerance 1e-11:
+
+        sum_k (a;q)_{rk+s}/(q;q)_{rk+s} * (b;q)_{uk+v}/(c;q)_{uk+v} * z^k
+          = (1/r) sum_{nu<r} w^{-s nu} z^{-s/r} (b;q)_inf/(c;q)_inf
+            * sum_j (c/b;q)_j/(q;q)_j * (a x q^{uj/r};q)_inf/(x q^{uj/r};q)_inf
+              * (b q^{v-us/r})^j,
+
+    with w = exp(2 pi i/r) and x = w^nu z^{1/r}, a complex parameter value
+    of one parsed sum."""
+    params, q, u, v, tol = {"a": 0.25, "b": 0.15, "c": 0.4, "z": 0.25}, 0.3, 2, 1, 1e-11
+    lhs = eval_numeric(parse_expr(
+        f"sum(k=0..inf; poch(a; q)_({r}*k+{s}) / poch(q; q)_({r}*k+{s})"
+        f" * poch(b; q)_({u}*k+{v}) / poch(c; q)_({u}*k+{v}) * z^k)"),
+        NumericEnv(q=q, params=params, tol=tol))
+    inner = parse_expr(
+        f"poch(b; q)_inf / poch(c; q)_inf * sum(j=0..inf; poch(c/b; q)_j / poch(q; q)_j"
+        f" * poch(a*x*q^({Fraction(u, r)}*j); q)_inf / poch(x*q^({Fraction(u, r)}*j); q)_inf"
+        f" * (b*q^({v - Fraction(u * s, r)}))^j)")
+    with mpmath.workdps(num.WORK_DPS):
+        w, z = mpmath.exp(2j * mpmath.pi / r), mpmath.mpf(params["z"])
+        total = 0
+        for nu in range(r):
+            x = w ** nu * z ** (mpmath.mpf(1) / r)
+            total += w ** (-s * nu) * z ** (-mpmath.mpf(s) / r) * eval_numeric(
+                inner, NumericEnv(q=q, params={**params, "x": x}, tol=tol))
+        return lhs, total / r
 
 
 def site_kind(node):

@@ -15,26 +15,13 @@ import mpmath
 import pytest
 from mpmath import mpc
 
-from conftest import perturb_record
+from conftest import fundamental_lemma_sides, perturb_record
 from test_catalog import EXPECTED_IDS
 
 from qsv.cli import main as cli_main
-from qsv.engine import (
-    ExactEnv,
-    NumericEnv,
-    eval_exact,
-    eval_numeric,
-    fl_lhs_numeric,
-    fl_rhs_numeric,
-)
-from qsv.exact import (
-    ParamValue,
-    series_add,
-    series_mul,
-    series_section,
-    series_shift,
-    series_subs_neg_q,
-)
+from qsv.dsl import parse_expr
+from qsv.engine import ExactEnv, NumericEnv, eval_exact, eval_numeric
+from qsv.exact import ParamValue, QSeries, series_add, series_mul, series_shift
 from qsv.qkernel import ThetaKind, poch_infinite, theta_product, theta_series
 from qsv.verifier import (
     default_exact_grid,
@@ -139,9 +126,7 @@ def test_criterion_07_fundamental_lemma(catalog):
     diffs = []
     for r in (2, 3):
         for s in (0, 1):
-            kwargs = dict(a=0.25, b=0.15, c=0.4, z=0.25, q=0.3, p=0.3,
-                          r=r, s=s, u=2, v=1, tol=1e-11)
-            diffs.append(rel(fl_lhs_numeric(**kwargs), fl_rhs_numeric(**kwargs)))
+            diffs.append(rel(*fundamental_lemma_sides(r, s)))
     sections_ok = all(d <= 1e-8 for d in diffs)
 
     # one-section instance (u = h, v = 0) against the plain bibasic record
@@ -224,8 +209,10 @@ def test_criterion_10_sectioning(catalog):
     lhs = eval_exact(record.lhs, env)
     rhs = eval_exact(record.rhs, env)
     psi = theta_series(ThetaKind.PSI, n)
-    even_part = series_section(psi, 2, 0)
-    averaged = series_shift(series_add(psi, series_subs_neg_q(psi)), F(1, 2), 0)
+    even_part = QSeries.from_ints(
+        n, [c if i % 2 == 0 else 0 for i, c in enumerate(psi.nums)], psi.den)
+    psi_neg_q = eval_exact(parse_expr("sum(k=0..inf; (-1)^(tri(k)) * q^(tri(k)))"), env)
+    averaged = series_shift(series_add(psi, psi_neg_q), F(1, 2), 0)
     ok = lhs == rhs and rhs == even_part and averaged == even_part
     announce(10, ok, "even-section record verifies at order 128 and equals "
                      "the even part of the triangular theta series, also as "

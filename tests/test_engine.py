@@ -8,6 +8,8 @@ import mpmath
 import pytest
 from mpmath import mpc
 
+from conftest import fundamental_lemma_sides
+
 from qsv import numeric as num
 from qsv.dsl import parse_expr
 from qsv.engine import (
@@ -18,8 +20,6 @@ from qsv.engine import (
     NumericEvaluator,
     eval_exact,
     eval_numeric,
-    fl_lhs_numeric,
-    fl_rhs_numeric,
 )
 from qsv.errors import NonConvergence, NonIntegerExponent, NonTruncatable, ValuationStall
 from qsv.exact import ParamValue, series_add, series_inv, series_mul, series_one
@@ -139,8 +139,8 @@ def test_qomega_quotient_matches_literal_complex_product():
     # h = 3, j = 2: the rational quotient equals the literal product
     # (q w; q)_2 (q w^2; q)_2 with w = exp(2 pi i/3), evaluated at q = 0.2
     q = mpmath.mpf("0.2")
-    quotient = exact_series("qomega(3)_2", 40).eval_at(q)
-    w = num.root_of_unity(3)
+    quotient = mpmath.polyval(exact_series("qomega(3)_2", 40).coeffs[::-1], q)
+    w = mpmath.exp(2j * mpmath.pi / 3)
     literal = (num.qpoch_finite_numeric(q * w, q, 2)
                * num.qpoch_finite_numeric(q * w ** 2, q, 2))
     assert abs(mpc(quotient) - literal) < 1e-12
@@ -286,9 +286,13 @@ def test_numeric_sectioning_roots_route():
     env = NumericEnv(q=0.3, params={"z": 0.4}, tol=1e-12)
     ev = NumericEvaluator(env)
     summand = parse_expr("z^k / poch(q;q)_k")
+    twisted = parse_expr("sum(k=0..inf; z^k / poch(q;q)_k * w^k)")
     for r, s in ((2, 0), (2, 1), (3, 1)):
         direct = ev.eval(Sum("k", s, r, summand))
-        averaged = ev.sum_sectioned_roots(summand, "k", r, s)
+        with mpmath.workdps(num.WORK_DPS):
+            roots = [mpmath.exp(2j * mpmath.pi * nu / r) for nu in range(r)]
+            averaged = sum(w ** -s * eval_numeric(twisted, NumericEnv(
+                q=0.3, params={"z": 0.4, "w": w}, tol=1e-12)) for w in roots) / r
         assert rel_err(direct, averaged) < 1e-10
 
 
@@ -480,7 +484,7 @@ def test_backend_agreement_on_catalog(catalog_records):
         point, nenv = chosen
         env = ExactEnv(order=64, params=point.params, exps=point.exps)
         for side in (record.lhs, record.rhs):
-            exact_value = eval_exact(side, env).eval_at(q)
+            exact_value = mpmath.polyval(eval_exact(side, env).coeffs[::-1], q)
             numeric_value = eval_numeric(side, nenv)
             assert rel_err(mpc(exact_value), numeric_value) < 1e-8, record.id
 
@@ -490,10 +494,7 @@ def test_backend_agreement_on_catalog(catalog_records):
 
 @pytest.mark.parametrize("r,s", [(1, 0), (2, 0), (2, 1), (3, 0), (3, 1)])
 def test_fundamental_lemma_sections(r, s):
-    kwargs = dict(a=0.25, b=0.15, c=0.4, z=0.25, q=0.3, p=0.3,
-                  r=r, s=s, u=2, v=1, tol=1e-11)
-    lhs = fl_lhs_numeric(**kwargs)
-    rhs = fl_rhs_numeric(**kwargs)
+    lhs, rhs = fundamental_lemma_sides(r, s)
     assert rel_err(lhs, rhs) < 1e-8
 
 

@@ -646,14 +646,6 @@ def test_numeric_plan_matches_plain_sum(case):
         assert bits(NumericEvaluator(env).eval(e)) == bits(PlainNumeric(env).eval(e))
 
 
-def test_numeric_plan_matches_plain_sum_sectioned_roots():
-    summand = parse_expr("poch(a; q)_k / poch(q; q)_k * z^k * poch(b; q)_inf")
-    env = NUMERIC_PLAN_POINTS[0]
-    for r, s in ((2, 1), (3, 0)):
-        got = NumericEvaluator(env).sum_sectioned_roots(summand, "k", r, s)
-        assert bits(got) == bits(PlainNumeric(env).sum_sectioned_roots(summand, "k", r, s))
-
-
 def test_numeric_plan_evaluates_a_one_index_factor_once_per_value(monkeypatch):
     e = parse_expr("msum(k1, k2, k3; poch(a; q)_k1 * z^k1 * poch(b; q)_k2 * b^k2"
                    " * poch(w; q)_(k1+k2+k3) * c^k3)")

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsv.dsl import parse_expr
+from qsv.engine import ExactEnv, eval_exact
 from qsv.errors import NegativeQPower, ZeroConstantTerm
 from qsv.exact import (
     ParamValue,
@@ -22,9 +24,7 @@ from qsv.exact import (
     series_mul_many,
     series_one,
     series_pow,
-    series_section,
     series_shift,
-    series_subs_neg_q,
     series_zero,
 )
 
@@ -147,12 +147,28 @@ def test_pow():
 
 
 def test_section_and_neg_q():
-    f = qs([1, 2, 3, 4, 5, 6])
-    assert series_section(f, 2, 0) == qs([1, 0, 3, 0, 5, 0])
-    assert series_section(f, 2, 1) == qs([0, 2, 0, 4, 0, 6])
-    assert series_subs_neg_q(f) == qs([1, -2, 3, -4, 5, -6])
-    even = series_section(f, 2, 0)
-    averaged = series_add(f, series_subs_neg_q(f))
+    # sections as the root filter over w = +-1 of f(w*q), and f(-q) as the
+    # parsed text with q replaced by (-q), both on the exact evaluator
+    poly = "1 + 2*q + 3*q^2 + 4*q^3 + 5*q^4 + 6*q^5"
+
+    def at(text, **params):
+        env = ExactEnv(order=6, params={name: ParamValue(c, 0) for name, c in params.items()})
+        return eval_exact(parse_expr(text), env)
+
+    f = at(poly)
+    assert f == qs([1, 2, 3, 4, 5, 6])
+    twisted = poly.replace("q", "(w*q)")
+
+    def section(s):
+        terms = [series_shift(at(twisted, w=w), F(w) ** -s / 2, 0) for w in (1, -1)]
+        return series_add(*terms)
+
+    assert section(0) == qs([1, 0, 3, 0, 5, 0])
+    assert section(1) == qs([0, 2, 0, 4, 0, 6])
+    f_neg_q = at(poly.replace("q", "(-q)"))
+    assert f_neg_q == qs([1, -2, 3, -4, 5, -6])
+    even = section(0)
+    averaged = series_add(f, f_neg_q)
     assert averaged == qs([2 * c for c in even.coeffs])
 
 

@@ -43,7 +43,6 @@ from qsv.expr import (
     _atom_free_names,
     _atom_key,
     canon,
-    canon_equal,
     child_fields,
     free_names,
     normalize,
@@ -285,48 +284,48 @@ def test_normalize_mul_one():
 
 
 def test_normalize_poch_length_zero():
-    assert canon_equal(parse_expr("poch(x;q)_0 * f"), parse_expr("f"))
+    assert canon(parse_expr("poch(x;q)_0 * f")) == canon(parse_expr("f"))
 
 
 def test_normalize_zero_argument_poch():
-    assert canon_equal(parse_expr("poch(0; q)_inf"), parse_expr("1"))
+    assert canon(parse_expr("poch(0; q)_inf")) == canon(parse_expr("1"))
 
 
 def test_normalize_power_distribution():
-    assert canon_equal(parse_expr("(-b*q)^k * q^(2*binom2(k))"),
-                       parse_expr("(-1)^k * b^k * q^(k^2)"))
+    assert canon(parse_expr("(-b*q)^k * q^(2*binom2(k))")) == canon(
+        parse_expr("(-1)^k * b^k * q^(k^2)"))
 
 
 def test_normalize_front_split():
-    assert canon_equal(parse_expr("poch(c*q; q^2)_(t*j+1)"),
-                       parse_expr("(1 - c*q) * poch(c*q^3; q^2)_(t*j)"))
+    assert canon(parse_expr("poch(c*q; q^2)_(t*j+1)")) == canon(
+        parse_expr("(1 - c*q) * poch(c*q^3; q^2)_(t*j)"))
 
 
 def test_normalize_constant_length_expansion():
-    assert canon_equal(parse_expr("poch(a; q)_3"),
-                       parse_expr("(1-a)*(1-a*q)*(1-a*q^2)"))
+    assert canon(parse_expr("poch(a; q)_3")) == canon(
+        parse_expr("(1-a)*(1-a*q)*(1-a*q^2)"))
 
 
 def test_normalize_pairing():
-    assert canon_equal(parse_expr("poch(q;q)_k * poch(-q;q)_k"),
-                       parse_expr("poch(q^2;q^2)_k"))
+    assert canon(parse_expr("poch(q;q)_k * poch(-q;q)_k")) == canon(
+        parse_expr("poch(q^2;q^2)_k"))
 
 
 def test_normalize_binomial_absorption():
-    assert canon_equal(parse_expr("(1 + b*q) * poch(-b*q^3; q^2)_inf"),
-                       parse_expr("poch(-b*q; q^2)_inf"))
-    assert canon_equal(parse_expr("poch(q^t; q^t)_inf / (1 - q^t)"),
-                       parse_expr("poch(q^(2*t); q^t)_inf"))
+    assert canon(parse_expr("(1 + b*q) * poch(-b*q^3; q^2)_inf")) == canon(
+        parse_expr("poch(-b*q; q^2)_inf"))
+    assert canon(parse_expr("poch(q^t; q^t)_inf / (1 - q^t)")) == canon(
+        parse_expr("poch(q^(2*t); q^t)_inf"))
 
 
 def test_normalize_omega_stride_families():
-    assert canon_equal(parse_expr("qomega(1)_j"), parse_expr("1"))
-    assert canon_equal(parse_expr("qomega(2)_j"), parse_expr("poch(-q;q)_j"))
-    assert canon_equal(parse_expr("qstride(2)_k"), parse_expr("poch(q;q^2)_k"))
-    assert canon_equal(parse_expr("qomega(h)_j"),
-                       parse_expr("poch(q^h;q^h)_j / poch(q;q)_j"))
-    assert canon_equal(parse_expr("qstride(h)_inf"),
-                       parse_expr("poch(q;q)_inf / poch(q^h;q^h)_inf"))
+    assert canon(parse_expr("qomega(1)_j")) == canon(parse_expr("1"))
+    assert canon(parse_expr("qomega(2)_j")) == canon(parse_expr("poch(-q;q)_j"))
+    assert canon(parse_expr("qstride(2)_k")) == canon(parse_expr("poch(q;q^2)_k"))
+    assert canon(parse_expr("qomega(h)_j")) == canon(
+        parse_expr("poch(q^h;q^h)_j / poch(q;q)_j"))
+    assert canon(parse_expr("qstride(h)_inf")) == canon(
+        parse_expr("poch(q;q)_inf / poch(q^h;q^h)_inf"))
 
 
 def test_normalize_sum_extraction_and_alpha():
@@ -336,13 +335,13 @@ def test_normalize_sum_extraction_and_alpha():
 
 
 def test_normalize_minus_one_parity():
-    assert canon_equal(parse_expr("(-1)^k * (-1)^k"), parse_expr("1"))
-    assert canon_equal(parse_expr("(-1)^(3*k)"), parse_expr("(-1)^k"))
-    assert canon_equal(parse_expr("(-1)^(j^2 + j)"), parse_expr("1"))
+    assert canon(parse_expr("(-1)^k * (-1)^k")) == canon(parse_expr("1"))
+    assert canon(parse_expr("(-1)^(3*k)")) == canon(parse_expr("(-1)^k"))
+    assert canon(parse_expr("(-1)^(j^2 + j)")) == canon(parse_expr("1"))
 
 
 def test_normalize_multisum_single_index_is_sum():
-    assert canon_equal(parse_expr("msum(k; a^k)"), parse_expr("sum(k=0..inf; a^k)"))
+    assert canon(parse_expr("msum(k; a^k)")) == canon(parse_expr("sum(k=0..inf; a^k)"))
 
 
 # -- substitution -------------------------------------------------------------------------

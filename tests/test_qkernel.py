@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qsv.dsl import parse_expr
+from qsv.engine import ExactEnv, eval_exact
 from qsv.errors import NonTruncatable
 from qsv.exact import ParamValue, QSeries, series_inv, series_mul, series_one
 from qsv.qkernel import (
     ThetaKind,
-    poch_elementary_ratio,
     poch_finite,
     poch_finite_inv,
     poch_infinite,
     poch_infinite_inv,
-    poch_stride_product,
     theta_product,
     theta_series,
 )
@@ -115,14 +115,32 @@ def test_poch_infinite_inv_matches_series_inv():
 # -- elementary identities ---------------------------------------------------------
 
 
+ELEMENTARY_RATIO = parse_expr("poch(x; q^h)_inf / poch(x*q^(h*k); q^h)_inf")
+
+
+def elementary_ratio(x, h, k, order):
+    """(x;q^h)_inf / (x*q^{hk};q^h)_inf, the infinite-product route to the
+    finite symbol (x;q^h)_k, on the exact evaluator."""
+    return eval_exact(ELEMENTARY_RATIO,
+                      ExactEnv(order=order, params={"x": x}, exps={"h": h, "k": k}))
+
+
+def stride_product(x, r, k, order):
+    """(x, x*q, ..., x*q^{r-1}; q^r)_k as r parsed finite symbols, on the
+    exact evaluator; it equals (x;q)_{rk}."""
+    text = " * ".join(f"poch(x*q^{j}; q^{r})_k" for j in range(r))
+    return eval_exact(parse_expr(text),
+                      ExactEnv(order=order, params={"x": x}, exps={"k": k}))
+
+
 def test_elementary_ratio_trivial():
-    assert poch_elementary_ratio(pv(1, 1), 1, 0, 8) == series_one(8)
+    assert elementary_ratio(pv(1, 1), 1, 0, 8) == series_one(8)
 
 
 def test_elementary_ratio_matches_finite():
-    assert (poch_elementary_ratio(pv(1, 1), 1, 3, 32)
+    assert (elementary_ratio(pv(1, 1), 1, 3, 32)
             == poch_finite(pv(1, 1), 1, 3, 32))
-    assert (poch_elementary_ratio(pv(-1, 2), 2, 2, 32)
+    assert (elementary_ratio(pv(-1, 2), 2, 2, 32)
             == poch_finite(pv(-1, 2), 2, 2, 32))
 
 
@@ -131,17 +149,17 @@ def test_elementary_ratio_matches_finite():
 @settings(max_examples=40, deadline=None)
 def test_elementary_ratio_property(coeff, qpow, h, k):
     x = ParamValue(F(coeff), qpow)
-    assert poch_elementary_ratio(x, h, k, 24) == poch_finite(x, h, k, 24)
+    assert elementary_ratio(x, h, k, 24) == poch_finite(x, h, k, 24)
 
 
 def test_stride_product_r1():
-    assert (poch_stride_product(pv(-1, 1), 1, 4, 1, 16)
+    assert (stride_product(pv(-1, 1), 1, 4, 16)
             == poch_finite(pv(-1, 1), 1, 4, 16))
 
 
 def test_stride_product_collapses():
     # (q, q^2; q^2)_2 = (q;q)_4
-    got = poch_stride_product(pv(1, 1), 2, 2, 1, 12)
+    got = stride_product(pv(1, 1), 2, 2, 12)
     expected = poch_finite(pv(1, 1), 1, 4, 12)
     assert [int(c) for c in expected.coeffs] == [1, -1, -1, 0, 0, 2, 0, 0, -1, -1, 1, 0]
     assert got == expected
@@ -149,7 +167,7 @@ def test_stride_product_collapses():
 
 def test_stride_product_r3():
     # (-q, -q^2, -q^3; q^3)_1 = (1+q)(1+q^2)(1+q^3)
-    got = poch_stride_product(pv(-1, 1), 3, 1, 1, 8)
+    got = stride_product(pv(-1, 1), 3, 1, 8)
     assert [int(c) for c in got.coeffs] == [1, 1, 1, 2, 1, 1, 1, 0]
 
 
@@ -158,8 +176,7 @@ def test_stride_product_r3():
 @settings(max_examples=30, deadline=None)
 def test_stride_product_property(coeff, qpow, r, k):
     x = ParamValue(F(coeff), qpow)
-    assert (poch_stride_product(x, r, k, 1, 24)
-            == poch_finite(x, 1, r * k, 24))
+    assert stride_product(x, r, k, 24) == poch_finite(x, 1, r * k, 24)
 
 
 @given(st.fractions(min_value=-2, max_value=2, max_denominator=3),
