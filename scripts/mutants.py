@@ -8,11 +8,12 @@ backend's proven rules.
 Each mutant changes one rule site: where a sum stops, which term it
 skips, which Pochhammer factor it steps, which coefficients a shift may
 drop, how far a running series is cut, which infinite product becomes a
-chain, where a term is added into its sum, or when a product is zero.  For each one the script
-copies src/, tests/ and perfbench/ (a test reads its tracer) to a
-temporary directory, applies the change there, runs ``pytest -x -q
-tests`` on the copy and prints ``killed`` (with the node id of the first
-failing test) or ``survived``, and the time taken.  The
+chain, where a term is added into its sum, what bound a power of zero
+gets, when a guard lets a term be skipped, or when a product is zero.
+For each one the script copies src/, tests/ and perfbench/ (a test reads
+its tracer) to a temporary directory, applies the change there, runs
+``pytest -x -q tests`` on the copy and prints ``killed`` (with the node
+id of the first failing test) or ``survived``, and the time taken.  The
 working tree is never edited.  It exits 1 when a mutant survives.  A full
 pass takes a few minutes: it is a check for a change that touches these
 sites, not a test.
@@ -59,11 +60,25 @@ MUTANTS = [
      "SumPlan.points drops a row one short of its threshold at every term"),
     ("M12", "qkernel.py", "below = max(-(-(order - x.qpow) // h), 0)",
      "below = max((order - x.qpow) // h, 0)",
-     "qkernel._chain counts the factors below the order rounding down"),
+     "qkernel._poch counts the factors below the order rounding down"),
     ("M13", "exact.py", "if e >= n or not c:", "if e >= n - 1 or not c:",
      "series_apply_binomials skips a factor at the last power below the order"),
     ("M14", "engine.py", "        if reduced <= 0:", "        if reduced <= 1:",
      "_product takes a product whose monomial is q^(N-1) as zero"),
+    ("M15", "engine.py", "h + rest[j] >= need for h", "h + rest[j] >= need - 1 for h",
+     "SumPlan.points skips a prefix one short of a threshold"),
+    ("M16", "engine.py", "            lows = [min(_horner(f, k) for k in range(r + 2))",
+     "            lows = [min(_horner(f, k) for k in range(max(r + 1, 1)))",
+     "SumPlan.points' lows leave K + 1 out of each part's window"),
+    ("M17", "engine.py", "return (ZERO,) if fixed is None", "return () if fixed is None",
+     "_bound takes 0^n as zero where n may be 0"),
+    ("M18", "engine.py", '(g, 1, "guard")', '(g, 0, "guard")',
+     "SumPlan.points skips a term whose guard is 0"),
+    ("M19", "engine.py", "self.const0(node, idxenv) not in (None, 0)",
+     "self.const0(node, idxenv) not in (None,)",
+     "_product takes a product as zero past the order over a vanishing denominator"),
+    ("M20", "engine.py", "dict.fromkeys(p * n for p in b)", "dict.fromkeys(p for p in b)",
+     "_bound's Pow keeps the base's valuation, unscaled by the power"),
 ]
 
 #: a pytest plugin, written into the copy, that appends the node id of

@@ -12,15 +12,16 @@ Two backends share the same AST:
 
 * numeric -- high-precision complex arithmetic for non-integer base
   exponents; sums stop once a run of small terms plus a geometric tail
-  estimate certify the remainder below tolerance.  Each sum call keeps a
-  NumericPlan: a summand node is evaluated once per value of the indices
-  it mentions, so terms are bit-identical to evaluating it per term.
+  estimate certify the remainder below tolerance.  Each sum call keeps an
+  IndexMemo: a summand node is evaluated once per value of the indices it
+  mentions, so terms are bit-identical to evaluating it per term.  Exact
+  msums keep their monomial parts in one the same way.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import repeat
 from operator import add, mul
@@ -99,7 +100,7 @@ _ONE = ParamValue(Fraction(1), 0)
 class ExactEnv:
     order: int = DEFAULT_ORDER
     params: dict = field(default_factory=dict)  # name -> ParamValue
-    exps: dict = field(default_factory=dict)    # name -> positive int
+    exps: dict = field(default_factory=dict)    # name -> non-negative int
 
     def __post_init__(self):
         for name, value in self.exps.items():
@@ -119,12 +120,13 @@ class NumericEnv:
 class ExactEvaluator:
     """Exact evaluation under one environment.  `idxenv` maps exponent
     symbols and the bound summation indices to their integer values; the
-    entry point `eval` binds the exponent symbols into it once."""
+    entry point `eval` binds the exponent symbols into it once and
+    evaluates modulo q^order of env.  Below it, the truncation order N is an
+    argument: const0 evaluates modulo q, and a product or a sum term at the
+    order its prefactor leaves."""
 
     def __init__(self, env: ExactEnv):
         self.env = env
-        self.order = env.order
-        self._mod_q = None  # the evaluator at order 1, made by const0
 
     def _bind(self, idxenv):
         """Exponent symbols, shadowed by any summation index of that name."""
@@ -188,11 +190,8 @@ class ExactEvaluator:
     def const0(self, e: Expr, idxenv):
         """Constant coefficient of e -- its value mod q -- or None when it
         cannot be evaluated."""
-        if self._mod_q is None:
-            self._mod_q = self if self.order == 1 else ExactEvaluator(
-                replace(self.env, order=1))
         try:
-            return self._mod_q._eval(e, idxenv)[0]
+            return self._eval(e, idxenv, 1)[0]
         except QsvError:
             return None
 
@@ -282,32 +281,34 @@ class ExactEvaluator:
     # -- evaluation ---------------------------------------------------------------
 
     def eval(self, e: Expr, idxenv=None) -> QSeries:
-        return self._eval(e, self._bind(idxenv))
+        return self._eval(e, self._bind(idxenv), self.env.order)
 
-    def _eval(self, e: Expr, idxenv, inverse=False) -> QSeries:
-        """e, or 1/e when `inverse`: products, powers and Pochhammer symbols
-        invert part by part through O(N)-per-factor recurrences, any other
-        series whole."""
-        N = self.order
+    def _eval(self, e: Expr, idxenv, N, inverse=False) -> QSeries:
+        """e modulo q^N, or 1/e when `inverse`: products, powers and
+        Pochhammer symbols invert part by part through O(N)-per-factor
+        recurrences, any other series whole."""
         if isinstance(e, (Const, Param, QPow, Pow)):
             m = self.monomial(e, idxenv)
             if m is not None:
                 return (m.pow(-1) if inverse else m).to_series(N)
             # a Pow over a non-monomial base
-            return series_pow(self._eval(e.base, idxenv, inverse), e.exponent.eval_int(idxenv))
+            return series_pow(self._eval(e.base, idxenv, N, inverse),
+                              e.exponent.eval_int(idxenv))
         if isinstance(e, (Neg, Mul, Div, OmegaProd, StrideProd)):
-            return self._eval_product(e, idxenv, inverse)
+            parts = []
+            self._flatten_product(e, inverse, parts)
+            return self._product(parts, idxenv, N)
         if isinstance(e, Poch):
-            return self._eval_symbol(e, idxenv, inverse)
+            return self._eval_symbol(e, idxenv, N, inverse)
         if isinstance(e, Add):
-            s = series_add(self._eval(e.left, idxenv), self._eval(e.right, idxenv))
+            s = series_add(self._eval(e.left, idxenv, N), self._eval(e.right, idxenv, N))
         elif isinstance(e, Theta):
             kind = ThetaKind.PSI if e.kind == "psi" else ThetaKind.PHI_MINUS
             s = theta_series(kind, N)
         elif isinstance(e, Sum):
-            s = self._eval_sum((e.index,), e.start, e.stride, e.summand, idxenv)
+            s = self._eval_sum((e.index,), e.start, e.stride, e.summand, idxenv, N)
         elif isinstance(e, MultiSum):
-            s = self._eval_sum(tuple(e.indices), 0, 1, e.summand, idxenv)
+            s = self._eval_sum(tuple(e.indices), 0, 1, e.summand, idxenv, N)
         else:
             raise TypeError(f"unknown expression node {e!r}")
         return series_inv(s) if inverse else s
@@ -331,33 +332,34 @@ class ExactEvaluator:
         else:
             out.append((e, inverted))
 
-    def _eval_product(self, e, idxenv, inverse=False) -> QSeries:
-        parts = []
-        self._flatten_product(e, inverse, parts)
-        return self._product(parts, idxenv)
-
-    def _parts_product(self, parts, idxenv, reduced) -> QSeries:
-        """The product of the series `parts` modulo q^reduced, evaluated at
-        that order where it passes this evaluator's."""
-        ev = self if reduced <= self.order else ExactEvaluator(replace(self.env, order=reduced))
-        factors = [ev._eval(node, idxenv, inv).truncate(reduced) for node, inv in parts]
+    def _parts_product(self, parts, idxenv, N, reduced) -> QSeries:
+        """The product of the series `parts` modulo q^reduced, evaluated
+        modulo q^max(N, reduced)."""
+        factors = [self._eval(node, idxenv, max(N, reduced), inv).truncate(reduced)
+                   for node, inv in parts]
         return factors[0] if len(factors) == 1 else series_mul_many(factors)
 
-    def _product(self, parts, idxenv, series=None, series_parts=(), monomial=None) -> QSeries:
-        """Product chains: fold every monomial part, by `monomial` (default
-        `self.monomial`), into one c*q^v prefactor, and multiply it by
-        `series_parts` and the other parts, which `series(reduced)`, or else
-        `_parts_product`, builds modulo q^reduced, reduced = order - v.  A
+    def _product(self, parts, idxenv, N, series=None, series_parts=(), memo=None) -> QSeries:
+        """Product chains modulo q^N: fold every monomial part, read through
+        `memo` where it keeps the part, into one c*q^v prefactor, and multiply
+        it by `series_parts` and the other parts, which `series(reduced)`, or
+        else `_parts_product`, builds modulo q^reduced, reduced = N - v.  A
         prefactor at or past the order gives 0 only when every inverted part
         has a known nonzero constant term; otherwise the parts are still
         built, so that a vanishing denominator raises.  A prefactor with v < 0
-        takes the parts modulo q^(order - v), from `_parts_product`, and the
+        takes the parts modulo q^(N - v), from `_parts_product`, and the
         shift raises NegativeQPower unless their product vanishes below q^(-v)."""
-        N = self.order
         num_mono = den_mono = _ONE
         series_parts = list(series_parts)
         for node, inv in parts:
-            m = (monomial or self.monomial)(node, idxenv)
+            names = memo.mentions.get(id(node)) if memo is not None else None
+            if names is None:
+                m = self.monomial(node, idxenv)
+            else:
+                key = (id(node), *[idxenv[ix] for ix in names])
+                m = memo.values.get(key)
+                if m is None:
+                    m = memo.values[key] = self.monomial(node, idxenv)
             if m is None:
                 series_parts.append((node, inv))
             elif inv:
@@ -378,12 +380,11 @@ class ExactEvaluator:
                 return series_zero(N)
             reduced = 1
         built = (series(reduced) if series and reduced <= N
-                 else self._parts_product(series_parts, idxenv, reduced))
+                 else self._parts_product(series_parts, idxenv, N, reduced))
         return series_shift(built, c, v, N)
 
-    def _eval_symbol(self, e, idxenv, inverse: bool) -> QSeries:
+    def _eval_symbol(self, e, idxenv, N, inverse: bool) -> QSeries:
         """A Poch node, or its reciprocal."""
-        N = self.order
         arg = self.monomial(e.arg, idxenv)
         base = self._base_exp(e.base, idxenv)
         length = self._length(e.length, idxenv)
@@ -396,7 +397,7 @@ class ExactEvaluator:
         # non-monomial argument: expand the product directly
         if length is None:
             raise NonTruncatable("infinite product over a non-monomial argument")
-        argseries = self._eval(e.arg, idxenv)
+        argseries = self._eval(e.arg, idxenv, N)
         one = series_one(N)
         out = one
         for i in range(length):
@@ -405,11 +406,11 @@ class ExactEvaluator:
 
     # -- sums -------------------------------------------------------------------
 
-    def _eval_sum(self, indices, start, stride, summand, idxenv) -> QSeries:
+    def _eval_sum(self, indices, start, stride, summand, idxenv, N) -> QSeries:
         """Each index runs through start, start + stride, ...: `SumPlan.points`.
         Each term is added from its valuation on; the total is normalised once."""
-        plan = SumPlan(self, indices, summand, idxenv)
-        total, den = [0] * self.order, 1
+        plan = SumPlan(self, indices, summand, idxenv, N)
+        total, den = [0] * N, 1
         for sub_idx in plan.points(idxenv, start, stride):
             term = plan.term(sub_idx)
             v = term.nums.index(next(filter(None, term.nums), 0))
@@ -417,18 +418,20 @@ class ExactEvaluator:
                 scale = term.den // math.gcd(den, term.den)
                 total, den = [x * scale for x in total], den * scale
             total[v:] = map(add, total[v:], map(mul, term.nums[v:], repeat(den // term.den)))
-        return QSeries.from_ints(self.order, total, den)
+        return QSeries.from_ints(N, total, den)
 
 
 class SumPlan:
-    """The summand of one sum or msum.  Its valuation bound (`bound`,
-    `guards`), compiled when the plan is made, decides which terms are
-    evaluated (`points`); its parts, compiled at its first term, make a
-    term cost a few O(N) binomial steps instead of an O(N^2) product.
+    """The summand of one sum or msum, its terms taken modulo q^N, N =
+    `order`.  Its valuation bound (`bound`, `guards`), compiled when the
+    plan is made, decides which terms are evaluated (`points`); its parts,
+    compiled at its first term, make a term cost a few O(N) binomial steps
+    instead of an O(N^2) product.
 
     Catalog summands are q-hypergeometric in their indices.  Of the parts
-    `_eval_product` sees, monomials are evaluated per term (folded by
-    `_product`), index-free series are evaluated once, at the first term
+    `_product` sees, monomials are evaluated per term (folded by
+    `_product`; in an msum, once per value of the indices they mention, by
+    an IndexMemo), index-free series are evaluated once, at the first term
     that needs them, into the running series, and binomials 1 + m (m an
     index-dependent monomial) are applied per term.  Chains -- finite
     (x; q^h)_len with x != 1 and h index-free, also to a fixed power >= 1,
@@ -444,10 +447,10 @@ class SumPlan:
     Parts are evaluated in product order, so a term raises what `_eval` of
     the summand raises."""
 
-    def __init__(self, ev: ExactEvaluator, indices, summand, idxenv):
+    def __init__(self, ev: ExactEvaluator, indices, summand, idxenv, order):
+        self.ev, self.indices, self.summand, self.order = ev, tuple(indices), summand, order
         compiled = ev.val_lb(summand, idxenv, indices)
         self.bound, self.guards = compiled or (None, ())
-        self.ev, self.indices, self.summand = ev, tuple(indices), summand
         self.parts = None
 
     def points(self, idxenv, start=0, stride=1):
@@ -467,7 +470,7 @@ class SumPlan:
         raises ValuationStall; with no bound the first term is evaluated, so
         that a vanishing denominator raises its own error, and then
         ValuationStall is raised."""
-        indices, N = self.indices, self.ev.order
+        indices, N = self.indices, self.order
 
         def at(js):
             return {**idxenv, **{ix: start + stride * j for ix, j in zip(indices, js)}}
@@ -525,17 +528,9 @@ class SumPlan:
         """The summand under idxenv, which binds every index of the sum."""
         if self.parts is None:
             self._compile(idxenv)
-        return self.ev._product(self.monomials, idxenv,
+        return self.ev._product(self.monomials, idxenv, self.order,
                                 lambda reduced: self._series(idxenv, reduced),
-                                self.parts, self._monomial if self._mentions else None)
-
-    def _monomial(self, node, idxenv) -> ParamValue:
-        """A monomial part, evaluated once per value of the indices it mentions."""
-        key = (id(node), *[idxenv[ix] for ix in self._mentions[id(node)]])
-        m = self._monomial_values.get(key)
-        if m is None:
-            m = self._monomial_values[key] = self.ev.monomial(node, idxenv)
-        return m
+                                self.parts, self.memo)
 
     def _series(self, idxenv, reduced) -> QSeries:
         """The product of the series parts at this term, modulo q^reduced."""
@@ -550,12 +545,11 @@ class SumPlan:
                     raise ZeroConstantTerm("cannot invert a series with zero constant term")
                 binomials.append((m.coeff, m.qpow, inv))
             elif kind == "eval":  # at the term's order
-                at = ExactEvaluator(replace(ev.env, order=reduced))
-                evaluated.append(at._eval(target, idxenv, inv))
+                evaluated.append(ev._eval(target, idxenv, reduced, inv))
             elif fixed is not None:
-                fixed.append(ev._eval(target, idxenv, inv))
+                fixed.append(ev._eval(target, idxenv, self.order, inv))
         if fixed is not None:
-            start = series_mul_many(fixed) if fixed else series_one(ev.order)
+            start = series_mul_many(fixed) if fixed else series_one(self.order)
             self._levels = [((0,) * len(self.chains), start)] * len(self.indices)
         series = self._move(tuple(idxenv[ix] for ix in self.indices), lengths)
         series = (series_apply_binomials(series, binomials, reduced) if binomials
@@ -586,7 +580,7 @@ class SumPlan:
     def _precision(self, level, values) -> int:
         """N - w within 1..N, w the least monomial q-power of the terms still to
         come from `level` (outer indices fixed, its own from its value, inner from 0)."""
-        N = self.ev.order
+        N = self.order
         if self.cut is None:
             return N
         den, const, parts, rises, rest = self.cut
@@ -612,9 +606,8 @@ class SumPlan:
                               if not free_names(node).isdisjoint(names)
                               else ("fixed", node, inv))
         self.cut = self._compile_cut(env, names) if self.chains else None
-        self._mentions = len(self.indices) > 1 and {id(node): tuple(  # msums only
-            ix for ix in self.indices if ix in free_names(node)) for node, _ in self.monomials}
-        self._monomial_values = {}  # (id(node), values of the indices it mentions)
+        self.memo = None if len(self.indices) == 1 else IndexMemo(  # msums only
+            self.indices, [node for node, _ in self.monomials])
         self._levels = None  # built from the fixed parts at the first move
         self._last = (None,) * len(self.indices)  # no term yet
 
@@ -681,6 +674,25 @@ class SumPlan:
                            else Pow(fixed, IntPoly.const(abs(power))), power < 0))
         self.chains.append((-x.coeff, x.qpow, h, -power))
         return ("chain", m, None)
+
+
+class IndexMemo:
+    """Values of a sum's summand nodes, kept for one sum call: `mentions`
+    maps the id of each of `nodes` that does not mention every index of the
+    sum to the indices it does mention, and `values` keeps such a node's
+    value by its id and the values of those indices.  The exact backend
+    keeps an msum's monomial parts here, the numeric one every summand node
+    outside a nested sum; each reads the two tables in place."""
+
+    __slots__ = ("mentions", "values")
+
+    def __init__(self, indices, nodes):
+        self.mentions, self.values = {}, {}
+        for node in nodes:
+            names = free_names(node)
+            mentioned = tuple(ix for ix in indices if ix in names)
+            if len(mentioned) < len(indices):
+                self.mentions[id(node)] = mentioned
 
 
 def _is_monomial(e: Expr) -> bool:
@@ -781,20 +793,20 @@ class NumericEvaluator:
     def eval(self, e: Expr, idxenv=None) -> mpc:
         return self._eval(e, self._bind(idxenv))
 
-    def _eval(self, e: Expr, sym, plan=None) -> mpc:
-        """e under sym.  Under a sum's plan, a node that does not mention
+    def _eval(self, e: Expr, sym, memo=None) -> mpc:
+        """e under sym.  Under a sum's memo, a node that does not mention
         every index of that sum is evaluated once per value of those it
         does mention."""
-        names = plan.mentions.get(id(e)) if plan is not None else None
+        names = memo.mentions.get(id(e)) if memo is not None else None
         if names is None:
-            return self._eval_node(e, sym, plan)
+            return self._eval_node(e, sym, memo)
         key = (id(e), *[sym[ix] for ix in names])
-        value = plan.memo.get(key)
+        value = memo.values.get(key)
         if value is None:
-            value = plan.memo[key] = self._eval_node(e, sym, plan)
+            value = memo.values[key] = self._eval_node(e, sym, memo)
         return value
 
-    def _eval_node(self, e: Expr, sym, plan) -> mpc:
+    def _eval_node(self, e: Expr, sym, memo) -> mpc:
         ev = self._eval
         if isinstance(e, Const):
             return mpc(e.value.numerator) / e.value.denominator
@@ -803,20 +815,20 @@ class NumericEvaluator:
         if isinstance(e, QPow):
             return num.cpow(self.q, self._poly(e.exponent, sym))
         if isinstance(e, Neg):
-            return -ev(e.arg, sym, plan)
+            return -ev(e.arg, sym, memo)
         if isinstance(e, Add):
-            return ev(e.left, sym, plan) + ev(e.right, sym, plan)
+            return ev(e.left, sym, memo) + ev(e.right, sym, memo)
         if isinstance(e, Mul):
-            return ev(e.left, sym, plan) * ev(e.right, sym, plan)
+            return ev(e.left, sym, memo) * ev(e.right, sym, memo)
         if isinstance(e, Div):
-            denom = ev(e.right, sym, plan)
+            denom = ev(e.right, sym, memo)
             if denom == 0:
                 raise DivisionByZeroProduct("zero denominator")
-            return num.check_finite(ev(e.left, sym, plan) / denom)
+            return num.check_finite(ev(e.left, sym, memo) / denom)
         if isinstance(e, Pow):
-            return num.cpow(ev(e.base, sym, plan), self._poly(e.exponent, sym))
+            return num.cpow(ev(e.base, sym, memo), self._poly(e.exponent, sym))
         if isinstance(e, Poch):
-            x = ev(e.arg, sym, plan)
+            x = ev(e.arg, sym, memo)
             qbase = self._qbase(self._poly(e.base, sym))
             if e.length is INF:
                 return self._products.inf(x, qbase)
@@ -828,7 +840,7 @@ class NumericEvaluator:
                 n = num.near_int(self._poly(e.length, sym))
                 if n is None or n < 0:
                     raise NonIntegerExponent("product length must be a non-negative integer")
-            return ev(e.quotient, sym, plan)
+            return ev(e.quotient, sym, memo)
         if isinstance(e, Theta):
             fn = (num.theta_psi_numeric if e.kind == "psi"
                   else num.theta_phi_minus_numeric)
@@ -843,12 +855,12 @@ class NumericEvaluator:
         """Each index runs through start, start + stride, ...  One index
         sums its terms; several sum shells of equal total step, at most
         MAX_NUMERIC_MSUM_TERMS terms in all."""
-        plan = NumericPlan(indices, summand)
+        memo = IndexMemo(indices, [node for node, bound in walk(summand) if not bound])
         m = len(indices)
         if m == 1:
             ix, = indices
             return num.sum_with_tail_bound(
-                lambda k: self._eval(summand, {**sym, ix: start + stride * k}, plan),
+                lambda k: self._eval(summand, {**sym, ix: start + stride * k}, memo),
                 self.tol)
         terms = 0
 
@@ -860,30 +872,10 @@ class NumericEvaluator:
                                      f"{MAX_NUMERIC_MSUM_TERMS} terms")
             total = mpc(0)
             for values in _compositions(d, m, start, stride):
-                total += self._eval(summand, {**sym, **dict(zip(indices, values))}, plan)
+                total += self._eval(summand, {**sym, **dict(zip(indices, values))}, memo)
             return total
 
         return num.sum_with_tail_bound(shell, self.tol, tail_run=5)
-
-
-class NumericPlan:
-    """Per-node facts of one numeric sum's summand, and the values they
-    allow to be kept for the life of that sum call.  `mentions` maps the
-    id of each node that does not mention every index of the sum to the
-    indices it does mention; `memo` keeps such a node's value by its id and
-    the values of those indices.  Nodes under a nested sum are left out:
-    that sum evaluates them under its own plan."""
-
-    __slots__ = ("mentions", "memo")
-
-    def __init__(self, indices, summand):
-        self.mentions, self.memo = {}, {}
-        for node, bound in walk(summand):
-            if not bound:
-                names = free_names(node)
-                mentioned = tuple(ix for ix in indices if ix in names)
-                if len(mentioned) < len(indices):
-                    self.mentions[id(node)] = mentioned
 
 
 def _cnum_values(values: dict) -> dict:

@@ -115,46 +115,19 @@ def qpoch_inf_numeric(x, qbase, tol=SCALAR_TOL) -> mpc:
     return check_finite(prod)
 
 
-class QPochPrefix:
-    """The products (x; qbase)_0, (x; qbase)_1, ... kept as they are built.
-
-    Asking for a longer length multiplies in only the missing factors, in
-    the same order as a product built from scratch, so every value is the
-    one qpoch_finite_numeric returns.
-    """
-
-    __slots__ = ("qbase", "term", "values")
-
-    def __init__(self, x: mpc, qbase: mpc):
-        self.qbase = qbase
-        self.term = x  # x*qbase^(len(values) - 1), the next factor's term
-        self.values = [mpc(1)]
-
-    def get(self, k: int) -> mpc:
-        values = self.values
-        if k >= len(values):
-            prod, term, qbase = values[-1], self.term, self.qbase
-            for _ in range(k + 1 - len(values)):
-                prod *= 1 - term
-                values.append(prod)
-                term *= qbase
-            self.term = term
-        return check_finite(values[k])
-
-
 class QPochMemo:
     """q-Pochhammer products memoized for one evaluation.
 
     Infinite products are kept by (x, qbase) and finite ones as one growing
-    prefix per (x, qbase), so a sum whose terms share a symbol pays for each
-    product, or each new factor, once.  Owned by one evaluator; the keys do
-    not include tol, which is fixed per memo.
+    prefix (x; qbase)_0, _1, ... per (x, qbase), so a sum whose terms share
+    a symbol pays for each product, or each new factor, once.  Owned by one
+    evaluator; the keys do not include tol, which is fixed per memo.
     """
 
     def __init__(self, tol):
         self.tol = tol
         self._inf = {}
-        self._prefixes = {}
+        self._prefixes = {}  # (x, qbase) -> [((x; qbase)_i, x*qbase^i) for i = 0, 1, ...]
 
     def inf(self, x: mpc, qbase: mpc) -> mpc:
         key = (x, qbase)
@@ -164,11 +137,20 @@ class QPochMemo:
         return value
 
     def finite(self, x: mpc, qbase: mpc, k: int) -> mpc:
+        """(x; qbase)_k.  A length past the prefix multiplies in only the
+        missing factors, in the order a product built from scratch takes
+        them, so every value is bit-identical to that product."""
         key = (x, qbase)
         prefix = self._prefixes.get(key)
         if prefix is None:
-            prefix = self._prefixes[key] = QPochPrefix(x, qbase)
-        return prefix.get(k)
+            prefix = self._prefixes[key] = [(mpc(1), x)]
+        if k >= len(prefix):
+            prod, term = prefix[-1]
+            for _ in range(k + 1 - len(prefix)):
+                prod *= 1 - term
+                term *= qbase
+                prefix.append((prod, term))
+        return check_finite(prefix[k][0])
 
     def complex_index(self, x: mpc, qbase: mpc, k: mpc) -> mpc:
         """(x; qbase)_k for complex k: (x;qbase)_inf / (x*qbase^k; qbase)_inf.
@@ -187,7 +169,7 @@ def qpoch_finite_numeric(x, qbase, k: int) -> mpc:
     """(x; qbase)_k as a finite product of k factors."""
     if k < 0:
         raise ValueError("finite length must be non-negative")
-    return QPochPrefix(to_cnum(x), to_cnum(qbase)).get(k)
+    return QPochMemo(SCALAR_TOL).finite(to_cnum(x), to_cnum(qbase), k)
 
 
 def qpoch_complex_index(x, qbase, k, tol=SCALAR_TOL) -> mpc:

@@ -24,19 +24,24 @@ from .exact import (
 from .exact import series_mul_binomial  # noqa: F401
 
 
-def _check_shape(h: int, k: int = 0):
-    """The domain shared by every symbol here: base exponent h >= 1 (h = 0
-    would make an infinite product of equal factors) and length k >= 0."""
+def _poch(x: ParamValue, h: int, k, order: int, inverse: bool) -> QSeries:
+    """(x; q^h)_k, or its inverse, modulo q^order (k None: inf): one
+    series_apply_binomials call over the factors (1 - x*q^(x.qpow + h*i))
+    below the order.  The base exponent must be h >= 1 (h = 0 would make an
+    infinite product of equal factors) and the length k >= 0; an infinite
+    product truncates only when x = 0 or x has positive q-valuation."""
     if h < 1:
         raise ValueError(f"base exponent must be a positive integer, got {h}")
-    if k < 0:
+    if k is not None and k < 0:
         raise ValueError(f"Pochhammer length must be non-negative, got {k}")
-
-
-def _chain(x: ParamValue, h: int, k, order: int, inverse: bool) -> QSeries:
-    """(x; q^h)_k, or its inverse, modulo q^order: one series_apply_binomials
-    call over the factors (1 - x*q^(x.qpow + h*i)) below the order (k None:
-    all of them)."""
+    if x.is_zero() or k == 0:
+        return series_one(order)
+    if k is None and x.qpow == 0:
+        raise NonTruncatable("(x;q^h)_inf with a zero-valuation argument does not "
+                             "truncate; use the numeric backend")
+    if inverse and x.qpow == 0 and x.coeff == 1:
+        # first factor is (1 - 1) = 0
+        raise ZeroConstantTerm("(x;q^h)_k with x = 1 vanishes")
     below = max(-(-(order - x.qpow) // h), 0)
     count = below if k is None else min(k, below)
     c = -x.coeff
@@ -46,49 +51,22 @@ def _chain(x: ParamValue, h: int, k, order: int, inverse: bool) -> QSeries:
 
 def poch_finite(x: ParamValue, h: int, k: int, order: int) -> QSeries:
     """(x; q^h)_k = prod_{i=0}^{k-1} (1 - x*q^{h*i}) truncated at order."""
-    _check_shape(h, k)
-    if x.is_zero() or k == 0:
-        return series_one(order)
-    return _chain(x, h, k, order, inverse=False)
+    return _poch(x, h, k, order, inverse=False)
 
 
 def poch_finite_inv(x: ParamValue, h: int, k: int, order: int) -> QSeries:
     """1 / (x; q^h)_k truncated at order."""
-    _check_shape(h, k)
-    if x.is_zero() or k == 0:
-        return series_one(order)
-    if x.qpow == 0 and x.coeff == 1:
-        # first factor is (1 - 1) = 0
-        raise ZeroConstantTerm("(x;q^h)_k with x = 1 vanishes")
-    return _chain(x, h, k, order, inverse=True)
+    return _poch(x, h, k, order, inverse=True)
 
 
 def poch_infinite(x: ParamValue, h: int, order: int) -> QSeries:
-    """(x; q^h)_inf modulo q^order; exact.
-
-    Requires x = 0 or qpow >= 1 so that only finitely many factors touch
-    coefficients below the truncation order.
-    """
-    _check_shape(h)
-    if x.is_zero():
-        return series_one(order)
-    if x.qpow == 0:
-        raise NonTruncatable(
-            "(x;q^h)_inf with a zero-valuation argument does not truncate; "
-            "use the numeric backend"
-        )
-    return _chain(x, h, None, order, inverse=False)
+    """(x; q^h)_inf modulo q^order; exact."""
+    return _poch(x, h, None, order, inverse=False)
 
 
 def poch_infinite_inv(x: ParamValue, h: int, order: int) -> QSeries:
-    _check_shape(h)
-    if x.is_zero():
-        return series_one(order)
-    if x.qpow == 0:
-        raise NonTruncatable(
-            "1/(x;q^h)_inf with a zero-valuation argument does not truncate"
-        )
-    return _chain(x, h, None, order, inverse=True)
+    """1 / (x; q^h)_inf modulo q^order; exact."""
+    return _poch(x, h, None, order, inverse=True)
 
 
 class ThetaKind(Enum):

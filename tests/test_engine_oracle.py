@@ -392,7 +392,7 @@ def _first_plan(e, env):
     """The plan of the sum e, compiled at its first term."""
     indices = (e.index,) if isinstance(e, Sum) else e.indices
     start = e.start if isinstance(e, Sum) else 0
-    plan = SumPlan(ExactEvaluator(env), indices, e.summand, env.exps)
+    plan = SumPlan(ExactEvaluator(env), indices, e.summand, env.exps, env.order)
     plan.term({**env.exps, **{ix: start for ix in indices}})
     return plan
 
@@ -530,7 +530,7 @@ def assert_plan_sound(e, env, check_skipped=True):
     indices = (e.index,) if isinstance(e, Sum) else tuple(e.indices)
     start, stride = (e.start, e.stride) if isinstance(e, Sum) else (0, 1)
     ev = ExactEvaluator(env)
-    plan = SumPlan(ev, indices, e.summand, env.exps)
+    plan = SumPlan(ev, indices, e.summand, env.exps, env.order)
     assert plan.bound is not None
     evaluated = []
     for point in plan.points(env.exps, start, stride):

@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from mpmath import mpc
 
 from qsv import numeric as num
+from qsv.dsl import parse_expr
+from qsv.engine import NumericEnv, eval_numeric
 from qsv.errors import BaseNotInDisk, NonConvergence, NonFiniteValue, ZeroBase
 from qsv.exact import ParamValue
 from qsv.qkernel import poch_infinite
@@ -110,6 +112,20 @@ def test_qpoch_inf_interleaving():
     assert rel_err(lhs, rhs) < 1e-13
 
 
+def test_memo_prefix_is_bit_identical_to_a_product_from_scratch():
+    """One memo read at lengths that grow, shrink and repeat gives, bit for
+    bit, the product built from 1 in the same factor order."""
+    x, qbase = mpc(0.31, 0.05), mpc(0.45, -0.2)
+    memo = num.QPochMemo(num.SCALAR_TOL)
+    with mpmath.workdps(num.WORK_DPS):
+        for k in (5, 2, 9, 0, 9):
+            prod, term = mpc(1), x
+            for _ in range(k):
+                prod *= 1 - term
+                term *= qbase
+            assert memo.finite(x, qbase, k) == prod
+
+
 # -- complex-index symbols ------------------------------------------------------------
 
 
@@ -148,12 +164,20 @@ def test_complex_index_recurrence_property(xr, xi, qr, qi, kr):
 
 
 def test_root_of_unity_invariants():
+    """The root filter sum_nu w^(nu*k) of a primitive r-th root w, each
+    power taken by the engine's integer-power path (cpow), which the
+    hand-built root filters rest on."""
+    power = parse_expr("w^k")
     with mpmath.workdps(num.WORK_DPS):
         for r in (1, 2, 3, 4, 7):
             w = mpmath.exp(2j * mpmath.pi / r)
-            assert abs(w ** r - 1) < 1e-25
+
+            def w_to(n):
+                return eval_numeric(power, NumericEnv(params={"w": w}, exps={"k": n}))
+
+            assert abs(w_to(r) - 1) < 1e-25
             for k in range(0, 2 * r + 1):
-                total = sum(w ** (nu * k) for nu in range(r))
+                total = sum(w_to(nu * k) for nu in range(r))
                 expected = r if k % r == 0 else 0
                 assert abs(total - expected) < 1e-20
 
