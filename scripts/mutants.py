@@ -1,15 +1,16 @@
 #!/usr/bin/env python3
 """Check that the tests under tests/ kill one-token mutants of the exact
-backend's proven rules.
+backend's proven rules and of the numeric infinite product's stop count.
 
     python3 scripts/mutants.py            # every mutant
     python3 scripts/mutants.py M1 M6      # the named ones
 
-Each mutant changes one rule site: where a sum stops, which term it
-skips, which Pochhammer factor it steps, which coefficients a shift may
-drop, how far a running series is cut, which infinite product becomes a
-chain, where a term is added into its sum, what bound a power of zero
-gets, when a guard lets a term be skipped, or when a product is zero.
+Each mutant changes one rule site: where a sum or an infinite product
+stops, which term it skips, which Pochhammer factor it steps, which
+coefficients a shift may drop, how far a running series is cut, which
+infinite product becomes a chain, where a term is added into its sum,
+what bound a power of zero gets, when a guard lets a term be skipped, or
+when a product is zero.
 For each one the script copies src/, tests/ and perfbench/ (a test reads
 its tracer) to a temporary directory, applies the change there, runs
 ``pytest -x -q tests`` on the copy and prints ``killed`` (with the node
@@ -79,6 +80,9 @@ MUTANTS = [
      "_product takes a product as zero past the order over a vanishing denominator"),
     ("M20", "engine.py", "dict.fromkeys(p * n for p in b)", "dict.fromkeys(p for p in b)",
      "_bound's Pow keeps the base's valuation, unscaled by the power"),
+    ("M21", "numeric.py", "while r > 0 and not above(r - 1):",
+     "while r > 0 and not above(r):",
+     "_stop_count stops an infinite product one factor early"),
 ]
 
 #: a pytest plugin, written into the copy, that appends the node id of

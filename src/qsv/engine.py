@@ -743,15 +743,17 @@ class NumericEvaluator:
     """Numeric evaluation under one environment.
 
     Values that no summation index changes are computed once per evaluator
-    and reused by every summand term: the converted environment, the q^h
-    bases, infinite products and the prefixes of finite products.  `sym`
-    maps exponent symbols and the bound summation indices to their values.
+    and reused by every summand term: the converted environment, log(q),
+    the q^h bases, infinite products and the prefixes of finite products.
+    `sym` maps exponent symbols and the bound summation indices to their
+    values.
     """
 
     @mpmath.workdps(num.WORK_DPS)
     def __init__(self, env: NumericEnv):
         self.env = env
         self.q = num.to_cnum(env.q)
+        self._log_q = mpmath.log(self.q)
         self.tol = env.tol
         self._exps = _cnum_values(env.exps)
         self._params = {name: num.to_cnum(v) for name, v in env.params.items()}
@@ -780,7 +782,7 @@ class NumericEvaluator:
         """q^exponent for a Pochhammer base, memoized by the exponent's value."""
         base = self._qbases.get(exponent)
         if base is None:
-            base = self._qbases[exponent] = num.cpow(self.q, exponent)
+            base = self._qbases[exponent] = num.cpow(self.q, exponent, self._log_q)
         return base
 
     def _param(self, name):
@@ -813,7 +815,7 @@ class NumericEvaluator:
         if isinstance(e, Param):
             return self._param(e.name)
         if isinstance(e, QPow):
-            return num.cpow(self.q, self._poly(e.exponent, sym))
+            return num.cpow(self.q, self._poly(e.exponent, sym), self._log_q)
         if isinstance(e, Neg):
             return -ev(e.arg, sym, memo)
         if isinstance(e, Add):

@@ -148,16 +148,19 @@ class IntPoly:
 
     def eval(self, env: dict):
         """Numeric evaluation; env maps symbols to numbers (Fraction,
-        int, float, or complex-like)."""
-        total = 0
+        int, float, or complex-like).  The value is the sum, in term order,
+        of each coefficient times its powers, without the operations that
+        change nothing: a coefficient 1 times, a power 1 and a leading 0 +."""
+        total = None
         for m, c in self.terms.items():
-            v = c
+            v = None if c == 1 and m else c
             for s, p in m:
                 if s not in env:
                     raise UnknownName(f"unbound exponent symbol {s!r}")
-                v = v * env[s] ** p
-            total = total + v
-        return total
+                x = env[s] if p == 1 else env[s] ** p
+                v = x if v is None else v * x
+            total = v if total is None else total + v
+        return 0 if total is None else total
 
     def eval_int(self, env: dict) -> int:
         """Exact-backend evaluation; must produce an integer.  The first

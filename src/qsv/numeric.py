@@ -1,15 +1,23 @@
 """High-precision complex backend.
 
-Used for identities whose base exponents h, t are not positive integers
-(q^h via the principal branch) and for root-of-unity constructions.  All
+Every catalog record is also checked here, and only here at non-integer
+or complex base exponents h, t (q^h via the principal branch).  All
 arithmetic runs on mpmath at a working precision comfortably above the
 target tolerance; any non-finite intermediate aborts the evaluation.
+
+Work whose value is fixed is done once: an infinite product counts its
+factors before the first, a caller holding a base's log passes it to
+`cpow`, and tolerances are mpf constants.  Every value is bit-identical
+to that of the plain loops.
 """
 
 from __future__ import annotations
 
+import math
+
 import mpmath
 from mpmath import mpc, mpf
+from mpmath.libmp import finf, fnan, fninf
 
 from .errors import (
     BaseNotInDisk,
@@ -39,22 +47,37 @@ MAX_TERMS = 100_000
 #: Consecutive small terms required before the tail test may fire.
 TAIL_RUN = 20
 
+#: Tolerances and bounds as the exact values of their doubles, so that a
+#: comparison gives what comparing with the float gives, without converting
+#: it each time: `near_int`'s default, `cpow`'s integer-power path, and
+#: `sum_with_tail_bound`'s divergence, scale floor and ratio bounds.
+_NEAR_INT_TOL = mpf(1e-9, prec=53)
+_INT_POWER_TOL = mpf(1e-12, prec=53)
+_DIVERGING = mpf(1e30, prec=53)
+_TINY_SCALE = mpf(1e-300, prec=53)
+_MAX_RATIO = mpf(0.99, prec=53)
+
+_NON_FINITE = (finf, fninf, fnan)
+
 
 def to_cnum(value) -> mpc:
+    if isinstance(value, mpc):
+        return value
     if isinstance(value, complex):
         return mpc(value.real, value.imag)
     return mpc(value)
 
 
 def check_finite(z: mpc) -> mpc:
-    if not (mpmath.isfinite(z.real) and mpmath.isfinite(z.imag)):
+    re, im = z._mpc_
+    if re in _NON_FINITE or im in _NON_FINITE:
         raise NonFiniteValue(f"non-finite intermediate {z}")
     return z
 
 
-def near_int(z, tol=1e-9):
+def near_int(z, tol=_NEAR_INT_TOL):
     """Return the nearest integer if z is within tol of one, else None."""
-    z = mpc(z)
+    z = to_cnum(z)
     if abs(z.imag) > tol:
         return None
     n = int(mpmath.nint(z.real))
@@ -63,15 +86,17 @@ def near_int(z, tol=1e-9):
     return n
 
 
-def cpow(base, exp) -> mpc:
+def cpow(base, exp, log_base=None) -> mpc:
     """Principal-branch power exp(exp * Log(base)).
 
     Integer exponents take the exact power path (no branch cut involved),
-    which keeps (-1)^k and friends clean.
+    which keeps (-1)^k and friends clean.  A caller that raises one base
+    to many powers passes mpmath.log(base), taken at the same precision,
+    as log_base.
     """
     base = to_cnum(base)
     exp = to_cnum(exp)
-    n = near_int(exp, 1e-12)
+    n = near_int(exp, _INT_POWER_TOL)
     if n is not None:
         if base == 0:
             if n > 0:
@@ -82,14 +107,50 @@ def cpow(base, exp) -> mpc:
         return check_finite(mpmath.power(base, n))
     if base == 0:
         raise ZeroBase("0 to a non-integer power")
-    return check_finite(mpmath.exp(exp * mpmath.log(base)))
+    if log_base is None:
+        log_base = mpmath.log(base)
+    return check_finite(mpmath.exp(exp * log_base))
+
+
+def _log2(v: mpf) -> float:
+    """log2 of a positive finite mpf as a float, at any magnitude."""
+    _, man, exp, _ = v._mpf_
+    return math.log2(man) + exp
+
+
+def _stop_count(ax: mpf, aq: mpf, tol) -> int:
+    """The least r at which the tail bound ax*aq^r/(1-aq) is no longer
+    above tol/4, or MAX_TERMS if every r below MAX_TERMS is above it.
+
+    A float estimate of r is moved one step at a time to where the mpf
+    test flips.  The bound falls as r grows, so the flip is unique and r
+    is the count at which a loop making the test before each factor stops.
+    """
+    gap, limit = 1 - aq, tol / 4
+
+    def above(r):
+        return ax * aq ** r / gap > limit
+
+    if not aq:
+        r = 0  # the bound is 0 from r = 1 on
+    else:
+        r, slope = MAX_TERMS, _log2(aq)
+        if slope < 0 and limit > 0:
+            estimate = (math.log2(limit) + _log2(gap) - _log2(ax)) / slope
+            r = min(math.ceil(max(estimate, 0)), MAX_TERMS)
+    while r < MAX_TERMS and above(r):
+        r += 1
+    while r > 0 and not above(r - 1):
+        r -= 1
+    return r
 
 
 def qpoch_inf_numeric(x, qbase, tol=SCALAR_TOL) -> mpc:
     """(x; qbase)_inf = prod_{r>=0} (1 - x*qbase^r) for |qbase| < 1.
 
     Truncates once the log-magnitude tail bound
-    |x|*|qbase|^r / (1-|qbase|) drops below tol.
+    |x|*|qbase|^r / (1-|qbase|) drops below tol; the factor count r is
+    found before the first factor.
     """
     x = to_cnum(x)
     qbase = to_cnum(qbase)
@@ -99,19 +160,18 @@ def qpoch_inf_numeric(x, qbase, tol=SCALAR_TOL) -> mpc:
                else NonFiniteValue(f"non-finite base {qbase}"))
     if x == 0:
         return mpc(1)
-    prod = mpc(1)
-    term = x
-    r = 0
     ax = abs(x)
     if not mpmath.isfinite(ax):
         raise NonFiniteValue(f"non-finite argument {x}")
-    while ax * aq ** r / (1 - aq) > tol / 4 and r < MAX_TERMS:
+    r = _stop_count(ax, aq, tol)
+    if r >= MAX_TERMS:
+        raise NonConvergence("infinite product did not meet its tail bound")
+    prod = mpc(1)
+    term = x
+    for _ in range(r):
         prod *= 1 - term
         check_finite(prod)
         term *= qbase
-        r += 1
-    if r >= MAX_TERMS:
-        raise NonConvergence("infinite product did not meet its tail bound")
     return check_finite(prod)
 
 
@@ -120,7 +180,8 @@ class QPochMemo:
 
     Infinite products are kept by (x, qbase) and finite ones as one growing
     prefix (x; qbase)_0, _1, ... per (x, qbase), so a sum whose terms share
-    a symbol pays for each product, or each new factor, once.  Owned by one
+    a symbol pays for each product, or each new factor, once.  The log of
+    each base that a complex index raises is kept too.  Owned by one
     evaluator; the keys do not include tol, which is fixed per memo.
     """
 
@@ -128,6 +189,7 @@ class QPochMemo:
         self.tol = tol
         self._inf = {}
         self._prefixes = {}  # (x, qbase) -> [((x; qbase)_i, x*qbase^i) for i = 0, 1, ...]
+        self._logs = {}  # qbase -> mpmath.log(qbase)
 
     def inf(self, x: mpc, qbase: mpc) -> mpc:
         key = (x, qbase)
@@ -159,7 +221,10 @@ class QPochMemo:
         if n is not None and n >= 0:
             return self.finite(x, qbase, n)
         num = self.inf(x, qbase)
-        den = qpoch_inf_numeric(x * cpow(qbase, k), qbase, self.tol)
+        log_qbase = self._logs.get(qbase)
+        if log_qbase is None:
+            log_qbase = self._logs[qbase] = mpmath.log(qbase)
+        den = qpoch_inf_numeric(x * cpow(qbase, k, log_qbase), qbase, self.tol)
         if den == 0:
             raise DivisionByZeroProduct("(x*q^k;q)_inf evaluated to zero")
         return check_finite(num / den)
@@ -214,14 +279,15 @@ def sum_with_tail_bound(term_fn, tol, tail_run=TAIL_RUN):
     small_run = 0
     prev_mag = None
     k = 0
+    tol = mpf(tol, prec=53) if isinstance(tol, float) else tol
     while k < MAX_TERMS:
         term = to_cnum(term_fn(k))
         check_finite(term)
         total += term
         mag = abs(term)
-        if mag > 1e30:
+        if mag > _DIVERGING:
             raise NonConvergence("terms are diverging")
-        scale = max(abs(total), mpf(1e-300))
+        scale = max(abs(total), _TINY_SCALE)
         if mag < tol * scale:
             small_run += 1
             if small_run >= tail_run:
@@ -231,7 +297,7 @@ def sum_with_tail_bound(term_fn, tol, tail_run=TAIL_RUN):
                         return check_finite(total)
                 else:
                     ratio = mag / prev_mag
-                    if ratio < 0.99:
+                    if ratio < _MAX_RATIO:
                         tail = mag * ratio / (1 - ratio) if ratio > 0 else mpf(0)
                         if tail < tol * scale:
                             return check_finite(total)

@@ -1,10 +1,13 @@
-"""High-precision complex kernels: powers, Pochhammer products, roots of
-unity, and the stride/pairing identities in their literal complex form."""
+"""High-precision complex kernels: powers, scalar guards, Pochhammer
+products and where an infinite one stops, roots of unity, and the
+stride/pairing identities in their literal complex form."""
 
 import math
 import os
+import random
 import subprocess
 import sys
+import time
 
 import mpmath
 import pytest
@@ -110,6 +113,90 @@ def test_qpoch_inf_interleaving():
            * num.qpoch_inf_numeric(q ** 2, q ** 2, 1e-16))
     rhs = num.qpoch_inf_numeric(q, q, 1e-16)
     assert rel_err(lhs, rhs) < 1e-13
+
+
+def loop_product(x, qbase, tol):
+    """(r, product) of the term-by-term loop: the tail test before every
+    factor, stopping at the first r where it fails or at MAX_TERMS."""
+    ax, aq = abs(x), abs(qbase)
+    prod, term, r = mpc(1), x, 0
+    while ax * aq ** r / (1 - aq) > tol / 4 and r < num.MAX_TERMS:
+        prod *= 1 - term
+        term *= qbase
+        r += 1
+    return r, prod
+
+
+def assert_stop_count_is_the_loops(x, qbase, tol):
+    r, prod = loop_product(x, qbase, tol)
+    assert num._stop_count(abs(x), abs(qbase), tol) == r
+    if r < num.MAX_TERMS:
+        assert num.qpoch_inf_numeric(x, qbase, tol) == prod
+    return r
+
+
+def test_stop_count_and_product_match_the_loop_on_random_inputs():
+    rng = random.Random(20261021)
+    with mpmath.workdps(num.WORK_DPS):
+        for i in range(150):
+            x = mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(-8, 8)
+            aq = (rng.uniform(0, 0.9), 10 ** -rng.uniform(1, 40),
+                  1 - 10 ** -rng.uniform(1, 2))[(0, 1, 0, 1, 2)[i % 5]]
+            qbase = aq * mpmath.expjpi(rng.uniform(-1, 1))
+            tol = 10 ** -rng.uniform(3, 25)
+            assert_stop_count_is_the_loops(x, qbase, tol)
+
+
+@pytest.mark.parametrize("x, qbase", [
+    (mpc(0.3), mpc(0)), (mpc(1e300, 1e300), mpc(0.5)), (mpc(1e-300), mpc(0.9)),
+    (mpc(0, mpmath.mpf("1e-5000")), mpc(0.2)), (mpc(mpmath.mpf("1e5000")), mpc(0, 0.5)),
+])
+def test_stop_count_matches_the_loop_at_extreme_magnitudes(x, qbase):
+    with mpmath.workdps(num.WORK_DPS):
+        assert_stop_count_is_the_loops(x, qbase, 1e-12)
+
+
+@pytest.mark.parametrize("aq_num, aq_den", [(1, 2), (3, 4), (7, 8)])
+@pytest.mark.parametrize("r0", [0, 1, 5, 17])
+@pytest.mark.parametrize("ax_log2", [-30, 0, 11])
+def test_stop_count_when_the_bound_lands_exactly_on_tol(aq_num, aq_den, r0, ax_log2):
+    """ax*aq^r0/(1-aq) == tol/4 exactly: the test is false at r0 (not
+    above), so r0 is the count.  One ulp less of tol makes it r0 + 1, and
+    one ulp more leaves it at r0."""
+    with mpmath.workdps(num.WORK_DPS):
+        aq = mpmath.mpf(aq_num) / aq_den
+        ax = mpmath.mpf(2) ** ax_log2
+        tol = 4 * float(ax * aq ** r0 / (1 - aq))
+        assert ax * aq ** r0 / (1 - aq) == tol / 4  # built exact
+        for x in (mpc(ax), mpc(0, -ax)):
+            for qbase in (mpc(aq), mpc(-aq), mpc(0, aq)):
+                assert assert_stop_count_is_the_loops(x, qbase, tol) == r0
+                if r0:
+                    below = tol * (1 - 2.0 ** -52)
+                    assert assert_stop_count_is_the_loops(x, qbase, below) == r0 + 1
+                    above = tol * (1 + 2.0 ** -52)
+                    assert assert_stop_count_is_the_loops(x, qbase, above) == r0
+
+
+def test_qpoch_inf_past_max_terms_fails_fast():
+    start = time.perf_counter()
+    with pytest.raises(NonConvergence, match="^infinite product did not meet its tail bound$"):
+        num.qpoch_inf_numeric(0.5, 1 - 1e-7)
+    assert time.perf_counter() - start < 0.1
+
+
+def test_qpoch_inf_stop_count_at_max_terms(monkeypatch):
+    # the loop stops at MAX_TERMS, whether or not the test there is false
+    monkeypatch.setattr(num, "MAX_TERMS", 50)
+    x, qbase = mpc(0.5), mpc(0.5)
+    r = loop_product(x, qbase, 1e-12)[0]
+    assert r < 50 and num._stop_count(abs(x), abs(qbase), 1e-12) == r
+    monkeypatch.setattr(num, "MAX_TERMS", r)
+    assert num._stop_count(abs(x), abs(qbase), 1e-12) == r
+    with pytest.raises(NonConvergence):
+        num.qpoch_inf_numeric(x, qbase, 1e-12)
+    monkeypatch.setattr(num, "MAX_TERMS", r + 1)
+    assert num.qpoch_inf_numeric(x, qbase, 1e-12) == loop_product(x, qbase, 1e-12)[1]
 
 
 def test_memo_prefix_is_bit_identical_to_a_product_from_scratch():
@@ -262,3 +349,60 @@ def test_non_finite_aborts():
 
     with pytest.raises(NonFiniteValue):
         num.check_finite(mpc(mpmath.inf, 0))
+
+
+# -- scalar guards ------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("special", [mpmath.inf, -mpmath.inf, mpmath.nan])
+@pytest.mark.parametrize("part", ["real", "imag"])
+def test_check_finite_rejects_every_special_value_in_either_part(special, part):
+    z = mpc(special, 0.5) if part == "real" else mpc(0.5, special)
+    with pytest.raises(NonFiniteValue, match="^non-finite intermediate"):
+        num.check_finite(z)
+
+
+@pytest.mark.parametrize("z", [
+    mpc(0), mpc(-0.0, -0.0), mpc(5e-324, -5e-324), mpc(0, mpmath.mpf("1e-1000000")),
+    mpc(mpmath.mpf("-1e1000000"), 2.5),
+])
+def test_check_finite_passes_zeros_and_extreme_finite_values(z):
+    assert num.check_finite(z) is z
+
+
+def _past(v):
+    """A value just past v, away from zero: v*(1 + 2^-60), which the
+    working precision keeps apart from v."""
+    return v * (1 + mpmath.mpf(2) ** -60)
+
+
+@pytest.mark.parametrize("tol", [None, 1e-9, 1e-12])
+def test_near_int_accepts_distance_tol_and_rejects_just_past_it(tol):
+    # None: the default tolerance, 1e-9
+    args = () if tol is None else (tol,)
+    with mpmath.workdps(num.WORK_DPS):
+        d = mpmath.mpf(1e-9 if tol is None else tol)
+        three = mpmath.mpf(3)
+        for sign in (1, -1):
+            assert num.near_int(mpc(three, sign * d), *args) == 3
+            assert num.near_int(mpc(three, sign * _past(d)), *args) is None
+            assert (three + sign * d) - 3 == sign * d  # the sum is exact
+            assert num.near_int(mpc(three + sign * d, 0), *args) == 3
+            assert num.near_int(mpc(three + sign * _past(d), 0), *args) is None
+        assert num.near_int(mpc(-2 - d, d), *args) == -2
+        assert num.near_int(mpc(-2 - d, _past(d)), *args) is None
+
+
+def test_near_int_reads_python_numbers():
+    assert num.near_int(7) == 7 and num.near_int(2.5) is None
+    assert num.near_int(complex(4, 1e-10)) == 4
+
+
+@pytest.mark.parametrize("base, exp", [
+    (mpc(0.3, 0.1), mpc(1.5, 0.2)), (mpc(-0.5, 0.1), mpc(0.3, -0.8)),
+    (mpc(0.2, -0.4), mpc(-0.7, 1.1)), (mpc(0.9), mpc(2.25)), (mpc(-0.4), mpc(0.5)),
+    (mpc(0.3, 0.1), mpc(3)), (mpc(0.3, 0.1), mpc(-2, 1e-13)),
+])
+def test_cpow_with_the_base_log_is_bit_identical(base, exp):
+    with mpmath.workdps(num.WORK_DPS):
+        assert num.cpow(base, exp, mpmath.log(base)) == num.cpow(base, exp)
