@@ -1,6 +1,7 @@
 #!/usr/bin/env python3
 """Check that the tests under tests/ kill one-token mutants of the exact
-backend's proven rules and of the numeric infinite product's stop count.
+backend's proven rules, of the numeric infinite product's stop count and
+of how a complex Pochhammer length is classified.
 
     python3 scripts/mutants.py            # every mutant
     python3 scripts/mutants.py M1 M6      # the named ones
@@ -9,8 +10,8 @@ Each mutant changes one rule site: where a sum or an infinite product
 stops, which term it skips, which Pochhammer factor it steps, which
 coefficients a shift may drop, how far a running series is cut, which
 infinite product becomes a chain, where a term is added into its sum,
-what bound a power of zero gets, when a guard lets a term be skipped, or
-when a product is zero.
+what bound a power of zero gets, when a guard lets a term be skipped,
+when a product is zero, or which power path a length takes.
 For each one the script copies src/, tests/ and perfbench/ (a test reads
 its tracer) to a temporary directory, applies the change there, runs
 ``pytest -x -q tests`` on the copy and prints ``killed`` (with the node
@@ -83,6 +84,8 @@ MUTANTS = [
     ("M21", "numeric.py", "while r > 0 and not above(r - 1):",
      "while r > 0 and not above(r):",
      "_stop_count stops an infinite product one factor early"),
+    ("M22", "numeric.py", "log_qbase) if n is None", "log_qbase) if n is not None",
+     "complex_index raises q to a length next to a negative integer by exp/log"),
 ]
 
 #: a pytest plugin, written into the copy, that appends the node id of

@@ -28,6 +28,7 @@ from operator import add, mul
 
 import mpmath
 from mpmath import mpc
+from mpmath.libmp import mpc_add, mpc_div, mpc_mul
 
 from . import numeric as num
 from .errors import (
@@ -766,23 +767,25 @@ class NumericEvaluator:
     def _poly(self, p: IntPoly, sym):
         value = p.eval(sym)
         if isinstance(value, Fraction):
-            return mpc(value.numerator) / value.denominator
-        return num.to_cnum(value)
+            n, d = value.numerator, value.denominator
+            return n if d == 1 else mpc(n) / d
+        return value if isinstance(value, int) else num.to_cnum(value)
 
     def _poly_posint(self, p: IntPoly, sym) -> int:
         v = self._poly(p, sym)
         n = num.near_int(v)
         if n is None or n < 1:
             raise NonIntegerExponent(
-                f"{p.render()} must be a positive integer here, got {v}"
+                f"{p.render()} must be a positive integer here, got {num.to_cnum(v)}"
             )
         return n
 
     def _qbase(self, exponent):
         """q^exponent for a Pochhammer base, memoized by the exponent's value."""
-        base = self._qbases.get(exponent)
+        key = getattr(exponent, "_mpc_", exponent)
+        base = self._qbases.get(key)
         if base is None:
-            base = self._qbases[exponent] = num.cpow(self.q, exponent, self._log_q)
+            base = self._qbases[key] = num.cpow(self.q, exponent, self._log_q)
         return base
 
     def _param(self, name):
@@ -819,14 +822,14 @@ class NumericEvaluator:
         if isinstance(e, Neg):
             return -ev(e.arg, sym, memo)
         if isinstance(e, Add):
-            return ev(e.left, sym, memo) + ev(e.right, sym, memo)
+            return num.raw_op(mpc_add, ev(e.left, sym, memo), ev(e.right, sym, memo))
         if isinstance(e, Mul):
-            return ev(e.left, sym, memo) * ev(e.right, sym, memo)
+            return num.raw_op(mpc_mul, ev(e.left, sym, memo), ev(e.right, sym, memo))
         if isinstance(e, Div):
             denom = ev(e.right, sym, memo)
-            if denom == 0:
+            if num.is_zero(denom):
                 raise DivisionByZeroProduct("zero denominator")
-            return num.check_finite(ev(e.left, sym, memo) / denom)
+            return num.check_finite(num.raw_op(mpc_div, ev(e.left, sym, memo), denom))
         if isinstance(e, Pow):
             return num.cpow(ev(e.base, sym, memo), self._poly(e.exponent, sym))
         if isinstance(e, Poch):

@@ -7,8 +7,10 @@ target tolerance; any non-finite intermediate aborts the evaluation.
 
 Work whose value is fixed is done once: an infinite product counts its
 factors before the first, a caller holding a base's log passes it to
-`cpow`, and tolerances are mpf constants.  Every value is bit-identical
-to that of the plain loops.
+`cpow`, and tolerances are mpf constants.  Kernels compute on mpmath's
+raw values with `mpmath.libmp` at the context's precision and rounding,
+and integer lengths stay `int`; every value is bit-identical to that of
+the plain mpc loops.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import math
 
 import mpmath
 from mpmath import mpc, mpf
-from mpmath.libmp import finf, fnan, fninf
+from mpmath.libmp import (finf, fnan, fninf, fone, from_int, fzero, mpc_div, mpc_exp,
+                          mpc_mul, mpc_pow_int, mpc_sub, mpf_abs, mpf_div, mpf_gt,
+                          mpf_mul, mpf_nint, mpf_pow_int, mpf_sub, to_int)
 
 from .errors import (
     BaseNotInDisk,
@@ -58,6 +62,23 @@ _TINY_SCALE = mpf(1e-300, prec=53)
 _MAX_RATIO = mpf(0.99, prec=53)
 
 _NON_FINITE = (finf, fninf, fnan)
+_ZERO, _ONE = (fzero, fzero), (fone, fzero)
+
+
+def _mpc(value) -> mpc:
+    """The mpc of a raw value, made as mpc's own operators make one."""
+    z = object.__new__(mpc)
+    z._mpc_ = value
+    return z
+
+
+def raw_op(op, a: mpc, b: mpc) -> mpc:
+    """op(a, b) for a libmpc op such as mpc_mul, as mpc's operator gives it."""
+    return _mpc(op(a._mpc_, b._mpc_, *mpmath.mp._prec_rounding))
+
+
+def is_zero(z: mpc) -> bool:
+    return z._mpc_ == _ZERO  # an mpf is normalised: its only zero is fzero
 
 
 def to_cnum(value) -> mpc:
@@ -77,11 +98,15 @@ def check_finite(z: mpc) -> mpc:
 
 def near_int(z, tol=_NEAR_INT_TOL):
     """Return the nearest integer if z is within tol of one, else None."""
-    z = to_cnum(z)
-    if abs(z.imag) > tol:
+    if isinstance(z, int):
+        return z
+    re, im = to_cnum(z)._mpc_
+    prec, rnd = mpmath.mp._prec_rounding
+    tol = mpf.mpf_convert_rhs(tol)  # as an mpf comparison reads it
+    if mpf_gt(mpf_abs(im, prec, rnd), tol):
         return None
-    n = int(mpmath.nint(z.real))
-    if abs(z.real - n) > tol:
+    n = to_int(mpf_nint(re, prec, rnd))
+    if mpf_gt(mpf_abs(mpf_sub(re, from_int(n), prec, rnd), prec, rnd), tol):
         return None
     return n
 
@@ -95,21 +120,26 @@ def cpow(base, exp, log_base=None) -> mpc:
     as log_base.
     """
     base = to_cnum(base)
-    exp = to_cnum(exp)
     n = near_int(exp, _INT_POWER_TOL)
-    if n is not None:
-        if base == 0:
-            if n > 0:
-                return mpc(0)
-            if n == 0:
-                return mpc(1)
-            raise ZeroBase("0 to a negative power")
-        return check_finite(mpmath.power(base, n))
-    if base == 0:
+    if n is None:
+        return _power_by_log(base, to_cnum(exp), log_base)
+    if is_zero(base):
+        if n > 0:
+            return mpc(0)
+        if n == 0:
+            return mpc(1)
+        raise ZeroBase("0 to a negative power")
+    return check_finite(_mpc(mpc_pow_int(base._mpc_, n, *mpmath.mp._prec_rounding)))
+
+
+def _power_by_log(base: mpc, exp: mpc, log_base) -> mpc:
+    """cpow's path for an exponent that is not an integer."""
+    if is_zero(base):
         raise ZeroBase("0 to a non-integer power")
     if log_base is None:
         log_base = mpmath.log(base)
-    return check_finite(mpmath.exp(exp * log_base))
+    log_power = raw_op(mpc_mul, exp, log_base)._mpc_
+    return check_finite(_mpc(mpc_exp(log_power, *mpmath.mp._prec_rounding)))
 
 
 def _log2(v: mpf) -> float:
@@ -127,9 +157,12 @@ def _stop_count(ax: mpf, aq: mpf, tol) -> int:
     is the count at which a loop making the test before each factor stops.
     """
     gap, limit = 1 - aq, tol / 4
+    prec, rnd = mpmath.mp._prec_rounding
+    x, q, g, lim = ax._mpf_, aq._mpf_, gap._mpf_, mpf.mpf_convert_rhs(limit)
 
-    def above(r):
-        return ax * aq ** r / gap > limit
+    def above(r):  # ax * aq ** r / gap > limit
+        return mpf_gt(mpf_div(mpf_mul(x, mpf_pow_int(q, r, prec, rnd), prec, rnd),
+                              g, prec, rnd), lim)
 
     if not aq:
         r = 0  # the bound is 0 from r = 1 on
@@ -158,21 +191,21 @@ def qpoch_inf_numeric(x, qbase, tol=SCALAR_TOL) -> mpc:
     if not aq < 1:  # or NaN
         raise (BaseNotInDisk(f"|qbase| = {aq} >= 1") if aq >= 1
                else NonFiniteValue(f"non-finite base {qbase}"))
-    if x == 0:
+    if is_zero(x):
         return mpc(1)
     ax = abs(x)
-    if not mpmath.isfinite(ax):
+    if ax._mpf_ in _NON_FINITE:
         raise NonFiniteValue(f"non-finite argument {x}")
     r = _stop_count(ax, aq, tol)
     if r >= MAX_TERMS:
         raise NonConvergence("infinite product did not meet its tail bound")
-    prod = mpc(1)
-    term = x
+    prec, rnd = mpmath.mp._prec_rounding
+    prod, term, qb = _mpc(_ONE), x._mpc_, qbase._mpc_
     for _ in range(r):
-        prod *= 1 - term
-        check_finite(prod)
-        term *= qbase
-    return check_finite(prod)
+        prod = check_finite(_mpc(mpc_mul(prod._mpc_, mpc_sub(_ONE, term, prec, rnd),
+                                         prec, rnd)))
+        term = mpc_mul(term, qb, prec, rnd)
+    return prod
 
 
 class QPochMemo:
@@ -181,18 +214,19 @@ class QPochMemo:
     Infinite products are kept by (x, qbase) and finite ones as one growing
     prefix (x; qbase)_0, _1, ... per (x, qbase), so a sum whose terms share
     a symbol pays for each product, or each new factor, once.  The log of
-    each base that a complex index raises is kept too.  Owned by one
-    evaluator; the keys do not include tol, which is fixed per memo.
+    each base that a complex index raises is kept too.  Keys are raw values
+    (tuples of ints, equal when the values are).  Owned by one evaluator;
+    the keys do not include tol, which is fixed per memo.
     """
 
     def __init__(self, tol):
         self.tol = tol
         self._inf = {}
-        self._prefixes = {}  # (x, qbase) -> [((x; qbase)_i, x*qbase^i) for i = 0, 1, ...]
-        self._logs = {}  # qbase -> mpmath.log(qbase)
+        self._prefixes = {}  # key -> [raw ((x; qbase)_i, x*qbase^i) for i = 0, 1, ...]
+        self._logs = {}  # raw qbase -> mpmath.log(qbase)
 
     def inf(self, x: mpc, qbase: mpc) -> mpc:
-        key = (x, qbase)
+        key = (x._mpc_, qbase._mpc_)
         value = self._inf.get(key)
         if value is None:
             value = self._inf[key] = qpoch_inf_numeric(x, qbase, self.tol)
@@ -202,32 +236,35 @@ class QPochMemo:
         """(x; qbase)_k.  A length past the prefix multiplies in only the
         missing factors, in the order a product built from scratch takes
         them, so every value is bit-identical to that product."""
-        key = (x, qbase)
+        key = (x._mpc_, qbase._mpc_)
         prefix = self._prefixes.get(key)
         if prefix is None:
-            prefix = self._prefixes[key] = [(mpc(1), x)]
+            prefix = self._prefixes[key] = [(_ONE, x._mpc_)]
         if k >= len(prefix):
+            prec, rnd = mpmath.mp._prec_rounding
             prod, term = prefix[-1]
             for _ in range(k + 1 - len(prefix)):
-                prod *= 1 - term
-                term *= qbase
+                prod = mpc_mul(prod, mpc_sub(_ONE, term, prec, rnd), prec, rnd)
+                term = mpc_mul(term, key[1], prec, rnd)
                 prefix.append((prod, term))
-        return check_finite(prefix[k][0])
+        return check_finite(_mpc(prefix[k][0]))
 
-    def complex_index(self, x: mpc, qbase: mpc, k: mpc) -> mpc:
+    def complex_index(self, x: mpc, qbase: mpc, k) -> mpc:
         """(x; qbase)_k for complex k: (x;qbase)_inf / (x*qbase^k; qbase)_inf.
         Only the shifted denominator depends on k."""
         n = near_int(k)
         if n is not None and n >= 0:
             return self.finite(x, qbase, n)
         num = self.inf(x, qbase)
-        log_qbase = self._logs.get(qbase)
+        log_qbase = self._logs.get(qbase._mpc_)
         if log_qbase is None:
-            log_qbase = self._logs[qbase] = mpmath.log(qbase)
-        den = qpoch_inf_numeric(x * cpow(qbase, k, log_qbase), qbase, self.tol)
-        if den == 0:
+            log_qbase = self._logs[qbase._mpc_] = mpmath.log(qbase)
+        shift = (_power_by_log(qbase, k, log_qbase) if n is None
+                 else cpow(qbase, k, log_qbase))
+        den = qpoch_inf_numeric(raw_op(mpc_mul, x, shift), qbase, self.tol)
+        if is_zero(den):
             raise DivisionByZeroProduct("(x*q^k;q)_inf evaluated to zero")
-        return check_finite(num / den)
+        return check_finite(raw_op(mpc_div, num, den))
 
 
 def qpoch_finite_numeric(x, qbase, k: int) -> mpc:

@@ -18,7 +18,8 @@ from mpmath import mpc
 from qsv import numeric as num
 from qsv.dsl import parse_expr
 from qsv.engine import NumericEnv, eval_numeric
-from qsv.errors import BaseNotInDisk, NonConvergence, NonFiniteValue, ZeroBase
+from qsv.errors import (BaseNotInDisk, DivisionByZeroProduct, NonConvergence,
+                        NonFiniteValue, ZeroBase)
 from qsv.exact import ParamValue
 from qsv.qkernel import poch_infinite
 from fractions import Fraction as F
@@ -201,7 +202,8 @@ def test_qpoch_inf_stop_count_at_max_terms(monkeypatch):
 
 def test_memo_prefix_is_bit_identical_to_a_product_from_scratch():
     """One memo read at lengths that grow, shrink and repeat gives, bit for
-    bit, the product built from 1 in the same factor order."""
+    bit, the product built from 1 in the same factor order, and the value
+    of a fresh memo that builds its prefix at once."""
     x, qbase = mpc(0.31, 0.05), mpc(0.45, -0.2)
     memo = num.QPochMemo(num.SCALAR_TOL)
     with mpmath.workdps(num.WORK_DPS):
@@ -210,7 +212,8 @@ def test_memo_prefix_is_bit_identical_to_a_product_from_scratch():
             for _ in range(k):
                 prod *= 1 - term
                 term *= qbase
-            assert memo.finite(x, qbase, k) == prod
+            assert memo.finite(x, qbase, k)._mpc_ == prod._mpc_
+            assert num.QPochMemo(num.SCALAR_TOL).finite(x, qbase, k)._mpc_ == prod._mpc_
 
 
 # -- complex-index symbols ------------------------------------------------------------
@@ -406,3 +409,173 @@ def test_near_int_reads_python_numbers():
 def test_cpow_with_the_base_log_is_bit_identical(base, exp):
     with mpmath.workdps(num.WORK_DPS):
         assert num.cpow(base, exp, mpmath.log(base)) == num.cpow(base, exp)
+
+
+# -- raw kernels against the plain mpc formulas ----------------------------------------
+#
+# The formulas below are the kernels written with mpc operators and mpmath
+# functions; the kernels compute on raw values, and each result must hold
+# the same raw value (`._mpc_ ==`), bit for bit.
+
+
+def plain_near_int(z, tol):
+    z = num.to_cnum(z)
+    if abs(z.imag) > tol:
+        return None
+    n = int(mpmath.nint(z.real))
+    if abs(z.real - n) > tol:
+        return None
+    return n
+
+
+def plain_finite(x, qbase, k):
+    prod, term = mpc(1), x
+    for _ in range(k):
+        prod *= 1 - term
+        term *= qbase
+    return prod
+
+
+def plain_cpow(base, exp, log_base=None):
+    base, exp = num.to_cnum(base), num.to_cnum(exp)
+    n = plain_near_int(exp, 1e-12)
+    if n is not None:
+        if base == 0:
+            if n < 0:
+                raise ZeroBase("0 to a negative power")
+            return mpc(0) if n > 0 else mpc(1)
+        return mpmath.power(base, n)
+    if base == 0:
+        raise ZeroBase("0 to a non-integer power")
+    return mpmath.exp(exp * (mpmath.log(base) if log_base is None else log_base))
+
+
+def plain_complex_index(x, qbase, k, tol):
+    n = plain_near_int(k, 1e-9)
+    if n is not None and n >= 0:
+        return plain_finite(x, qbase, n)
+    den = loop_product(x * plain_cpow(qbase, k, mpmath.log(qbase)), qbase, tol)[1]
+    if den == 0:
+        raise DivisionByZeroProduct("(x*q^k;q)_inf evaluated to zero")
+    return loop_product(x, qbase, tol)[1] / den
+
+
+def _random_point(rng):
+    x = mpc(rng.uniform(-1, 1), rng.uniform(-1, 1)) * 10 ** rng.uniform(-3, 1)
+    qbase = rng.uniform(0.05, 0.9) * mpmath.expjpi(rng.uniform(-1, 1))
+    return x, qbase
+
+
+def test_raw_kernels_are_bit_identical_to_the_plain_formulas():
+    rng = random.Random(20261022)
+    with mpmath.workdps(num.WORK_DPS):
+        for _ in range(60):
+            x, qbase = _random_point(rng)
+            k = mpc(rng.uniform(-3, 6), rng.choice((0, rng.uniform(-1, 1))))
+            n = rng.randrange(-4, 12)
+            tol = 10 ** -rng.uniform(6, 20)
+            expected = loop_product(x, qbase, tol)[1]
+            assert num.qpoch_inf_numeric(x, qbase, tol)._mpc_ == expected._mpc_
+            memo = num.QPochMemo(tol)
+            expected = plain_finite(x, qbase, abs(n))
+            assert memo.finite(x, qbase, abs(n))._mpc_ == expected._mpc_
+            expected = plain_complex_index(x, qbase, k, tol)
+            assert memo.complex_index(x, qbase, k)._mpc_ == expected._mpc_
+            log = mpmath.log(x)
+            for exp in (k, mpc(n), n, n + mpc(0, 1e-13)):
+                assert num.cpow(x, exp)._mpc_ == plain_cpow(x, exp)._mpc_
+                assert num.cpow(x, exp, log)._mpc_ == plain_cpow(x, exp, log)._mpc_
+            assert num.near_int(k) == plain_near_int(k, 1e-9)
+            for near in (1e-9, 1e-12, 0.3):  # a float tol
+                assert num.near_int(k, near) == plain_near_int(k, near)
+
+
+@pytest.mark.parametrize("k", [0, mpc(0), 5, mpc(5), mpc(2.5, 0.5)])
+def test_raw_kernels_at_zero_argument_and_length(k):
+    """x = 0 gives 1 at every length, and k = 0, as int or mpc, at every x."""
+    with mpmath.workdps(num.WORK_DPS):
+        x, qbase = mpc(0.3, -0.2), mpc(0.5, 0.1)
+        memo = num.QPochMemo(num.SCALAR_TOL)
+        assert num.qpoch_inf_numeric(0, qbase)._mpc_ == mpc(1)._mpc_
+        assert memo.complex_index(mpc(0), qbase, k)._mpc_ == mpc(1)._mpc_
+        expected = plain_complex_index(x, qbase, k, num.SCALAR_TOL)
+        assert memo.complex_index(x, qbase, k)._mpc_ == expected._mpc_
+        if k == 0:
+            assert expected._mpc_ == mpc(1)._mpc_
+
+
+@pytest.mark.parametrize("offset", [1e-10, -1e-10, 1e-13, 0])
+def test_complex_index_next_to_a_negative_integer(offset):
+    """k within 1e-9 of -2 is not a finite length: its denominator's power
+    takes the integer path within 1e-12 of -2 and the exp/log path past it."""
+    with mpmath.workdps(num.WORK_DPS):
+        x, qbase = mpc(0.3, -0.2), mpc(0.5, 0.1)
+        k = mpc(-2 + offset, offset / 2)
+        assert num.near_int(k) == -2
+        got = num.QPochMemo(num.SCALAR_TOL).complex_index(x, qbase, k)
+        assert got._mpc_ == plain_complex_index(x, qbase, k, num.SCALAR_TOL)._mpc_
+
+
+def test_complex_index_with_a_zero_denominator_raises():
+    # x*q^-2 = 1: the shifted product's first factor is 0
+    with pytest.raises(DivisionByZeroProduct, match=r"^\(x\*q\^k;q\)_inf evaluated to zero$"):
+        num.qpoch_complex_index(0.25, 0.5, mpc(-2))
+    with pytest.raises(DivisionByZeroProduct):
+        plain_complex_index(mpc(0.25), mpc(0.5), mpc(-2), num.SCALAR_TOL)
+
+
+@pytest.mark.parametrize("x", [mpc(mpmath.inf, 0), mpc(0, mpmath.nan)])
+def test_complex_index_rejects_a_non_finite_argument(x):
+    with pytest.raises(NonFiniteValue, match="^non-finite argument"):
+        num.qpoch_complex_index(x, 0.5, mpc(0.5, 0.2))
+
+
+@pytest.mark.parametrize("text, plain", [
+    ("a*b", lambda a, b: a * b), ("a/b", lambda a, b: a / b), ("a+b", lambda a, b: a + b),
+    ("a*b/(a+b)", lambda a, b: a * b / (a + b)),
+])
+def test_engine_arithmetic_nodes_are_the_mpc_operators(text, plain):
+    rng = random.Random(7)
+    with mpmath.workdps(num.WORK_DPS):
+        for _ in range(20):
+            a, b = (mpc(rng.uniform(-2, 2), rng.uniform(-2, 2)) for _ in range(2))
+            got = eval_numeric(parse_expr(text), NumericEnv(params={"a": a, "b": b}))
+            assert got._mpc_ == plain(a, b)._mpc_
+
+
+# -- integer lengths stay int -------------------------------------------------------------
+
+BINOMIAL_ENV = NumericEnv(q=complex(0.35, 0.1),
+                          params={"a": complex(0.37, 0.11), "z": complex(0.42, -0.2)})
+
+
+def count_roundings(monkeypatch):
+    """Calls of mpmath.nint and of the raw rounding near_int uses."""
+    calls = []
+    for owner, name in ((mpmath, "nint"), (num, "mpf_nint")):
+        real = getattr(owner, name)
+
+        def counted(*args, _real=real, **kwargs):
+            calls.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+def test_integer_lengths_are_never_rounded(monkeypatch):
+    """The q-binomial summand's lengths are ints from the index: no
+    rounding to the nearest integer, and the value of the code that took
+    them as mpc and rounded them back, to the last bit."""
+    calls = count_roundings(monkeypatch)
+    value = eval_numeric(parse_expr("sum(k=0..inf; poch(a; q)_k / poch(q; q)_k * z^k)"),
+                         BINOMIAL_ENV)
+    assert calls == []
+    assert value._mpc_ == ((0, 7667497026489012257748243383087, -102, 103),
+                           (1, 83284183589775507512197445949, -97, 97))
+    # a half-integer length is rounded, so the counter sees it
+    value = eval_numeric(parse_expr("sum(k=0..inf; poch(a; q)_(k+1/2) / poch(q; q)_k * z^k)"),
+                         BINOMIAL_ENV)
+    assert calls
+    assert value._mpc_ == ((0, 6099628901428951080539384168241, -102, 103),
+                           (1, 190973130430556492823217821253, -98, 98))
